@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -832,6 +833,9 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
     };
 
     std::vector<std::exception_ptr> worker_errors(opts.workers);
+    // One byte per thread: the bit-packed vector<bool> in the outcome shares
+    // words between adjacent workers, so threads must not write it directly.
+    std::vector<std::uint8_t> crashed(opts.workers, 0);
     {
         std::vector<std::thread> threads;
         threads.reserve(opts.workers);
@@ -841,8 +845,7 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
                     const core::TransportFaultPlan faults = w < opts.worker_faults.size()
                                                                ? opts.worker_faults[w]
                                                                : core::TransportFaultPlan{};
-                    out.worker_crashed[w] =
-                        run_one(w, faults, "worker." + std::to_string(w), opts.resume);
+                    crashed[w] = run_one(w, faults, "worker." + std::to_string(w), opts.resume);
                 } catch (...) {
                     worker_errors[w] = std::current_exception();
                 }
@@ -850,6 +853,7 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
         }
         for (std::thread& t : threads) t.join();
     }
+    for (std::size_t w = 0; w < opts.workers; ++w) out.worker_crashed[w] = crashed[w] != 0;
 
     // The operator walks to the tent and reboots dead nodes: each crashed
     // worker gets one clean-link rerun that resumes from its local journal.

@@ -174,7 +174,7 @@ SweepJournal::SweepJournal(std::filesystem::path path, SweepJournalKey key, bool
 }
 
 void SweepJournal::load() {
-    // The whole file in memory, split into lines (the journal is a few KB;
+    // The whole file in memory, split into lines (roughly 100 bytes a cell;
     // full-file reads are what the FileSystem seam traffics in).
     const std::string bytes = fs_->read_file(path_);
     std::vector<std::string> lines;
@@ -329,29 +329,43 @@ void SweepJournal::load() {
             throw core::ParseError("trailing junk in record for cell " + std::to_string(index),
                                    line_no);
         }
-        cells_.emplace(static_cast<std::size_t>(index), unpack(fields));
+        // Store the canonical encoding, not the disk line: parse_csv_u64
+        // takes leading zeros and >> takes extra spaces, so a re-checksummed
+        // non-canonical line is normalised by the next rewrite.
+        const FaultCensus census = unpack(fields);
+        cells_.emplace(static_cast<std::size_t>(index),
+                       StoredCell{census, encode_cell_record(static_cast<std::size_t>(index),
+                                                             census)});
     }
 }
 
 void SweepJournal::rewrite() const {
-    std::ostringstream out;
-    out << kMagic << '\n';
-    out << "base_seed " << key_.base_seed << '\n';
-    out << "config_hash " << hex16(key_.config_hash) << '\n';
-    out << "cells " << key_.cells << '\n';
-    for (const auto& [index, census] : cells_) {
-        out << encode_cell_record(index, census) << '\n';
-    }
+    std::string header(kMagic);
+    header += "\nbase_seed " + std::to_string(key_.base_seed);
+    header += "\nconfig_hash " + hex16(key_.config_hash);
+    header += "\ncells " + std::to_string(key_.cells) + '\n';
     // Poison records after the data, both in index order: the file's bytes
     // depend only on the journal's final contents, never on arrival order.
+    // Quarantined cells are few, so their lines are encoded here.
+    std::string poison;
     for (const auto& [index, q] : quarantined_) {
         const std::string payload =
             "poison " + std::to_string(index) + ' ' + std::to_string(q.attempts) + ' ' + q.reason;
-        out << payload << ' ' << hex16(core::fnv1a(payload)) << '\n';
+        poison += payload + ' ' + hex16(core::fnv1a(payload)) + '\n';
     }
+    std::size_t size = header.size() + poison.size();
+    for (const auto& [index, cell] : cells_) size += cell.line.size() + 1;
+    std::string bytes;
+    bytes.reserve(size);
+    bytes += header;
+    for (const auto& [index, cell] : cells_) {
+        bytes += cell.line;
+        bytes += '\n';
+    }
+    bytes += poison;
     // Crash-safe tmp+rename through the io seam; injected transient faults
     // (short write, ENOSPC, refused rename) restart the sequence, bounded.
-    io_retries_ += core::replace_file_atomic(*fs_, path_, out.str(), core::IoRetryPolicy{4},
+    io_retries_ += core::replace_file_atomic(*fs_, path_, bytes, core::IoRetryPolicy{4},
                                              "sweep journal '" + path_.string() + "'");
 }
 
@@ -361,8 +375,9 @@ void SweepJournal::record(std::size_t index, const FaultCensus& census) {
                                     " out of range (campaign has " + std::to_string(key_.cells) +
                                     " cells)");
     }
+    StoredCell cell{census, encode_cell_record(index, census)};
     std::lock_guard lock(mutex_);
-    cells_.insert_or_assign(index, census);
+    cells_.insert_or_assign(index, std::move(cell));
     quarantined_.erase(index);  // real data heals a quarantined slot
     rewrite();
 }
@@ -386,7 +401,7 @@ void SweepJournal::quarantine(std::size_t index, std::size_t attempts,
 
 const FaultCensus* SweepJournal::find(std::size_t index) const {
     const auto it = cells_.find(index);
-    return it == cells_.end() ? nullptr : &it->second;
+    return it == cells_.end() ? nullptr : &it->second.census;
 }
 
 }  // namespace zerodeg::experiment

@@ -17,8 +17,11 @@
 // Durability model: the whole journal is rewritten to `<path>.tmp` and
 // renamed over `<path>` on every record.  rename(2) is atomic on POSIX, so a
 // crash at any instant leaves either the previous complete journal or the
-// new complete journal on disk — never a half-written one.  Campaign cells
-// run for minutes; a full rewrite of a few-KB text file per cell is noise.
+// new complete journal on disk — never a half-written one.  Each record line
+// is encoded once, when its cell enters the journal, and kept in memory; a
+// record() therefore costs one line encode plus an O(journal bytes) copy of
+// the stored lines and the tmp+rename — roughly 100 bytes per recorded cell,
+// never a re-encode of the cells already there.
 //
 // All disk access goes through the core::io FileSystem seam, so the torture
 // harness (tools/zerodeg_torture) can crash a campaign at every single write
@@ -155,7 +158,13 @@ private:
     std::filesystem::path path_;
     SweepJournalKey key_;
     core::FileSystem* fs_;
-    std::map<std::size_t, FaultCensus> cells_;  ///< ordered: file stays in index order
+    /// A recorded cell and its checksummed record line, encoded once.
+    struct StoredCell {
+        FaultCensus census;
+        std::string line;  ///< encode_cell_record(index, census), no newline
+    };
+
+    std::map<std::size_t, StoredCell> cells_;  ///< ordered: file stays in index order
     std::map<std::size_t, QuarantineRecord> quarantined_;  ///< poisoned cells, no data
     std::size_t recovered_tail_ = 0;
     mutable int io_retries_ = 0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <string>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 #include "experiment/census.hpp"
 #include "experiment/parallel_census.hpp"
 #include "experiment/sweep_journal.hpp"
@@ -496,6 +498,88 @@ TEST(PoisonRecords, TamperedPoisonRecordIsRejectedOnResume) {
     text[pos + std::strlen("poison 0 ")] = '7';  // bend attempts; checksum now wrong
     spit(path, text);
     EXPECT_THROW(SweepJournal(path, key, /*resume=*/true), core::CorruptData);
+}
+
+// The file's bytes depend only on the journal's contents.  The expected
+// text is built here, independently of SweepJournal's own rendering.
+std::string hex16(std::uint64_t v) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+    return buf;
+}
+
+std::string expected_header(const SweepJournalKey& key) {
+    return "zerodeg-sweep-journal v2\nbase_seed " + std::to_string(key.base_seed) +
+           "\nconfig_hash " + hex16(key.config_hash) + "\ncells " + std::to_string(key.cells) +
+           "\n";
+}
+
+std::string expected_poison(std::size_t index, std::size_t attempts, const std::string& reason) {
+    const std::string payload =
+        "poison " + std::to_string(index) + ' ' + std::to_string(attempts) + ' ' + reason;
+    return payload + ' ' + hex16(core::fnv1a(payload)) + '\n';
+}
+
+TEST(JournalBytes, DependOnlyOnContentsNotArrivalOrder) {
+    const SweepJournalKey key{kBaseSeed, 0xabcdef, 8};
+    const fs::path path = journal_path("bytes_shuffled");
+    {
+        SweepJournal journal(path, key);
+        journal.record(6, marker_census(106));
+        journal.quarantine(7, 4, "lease-expired under 4 distinct workers");
+        journal.record(1, marker_census(101));
+        journal.quarantine(5, 3, "lease-expired");
+        journal.record(4, marker_census(104));
+        journal.quarantine(2, 3, "lease-expired under 3 distinct workers");
+        journal.record(0, marker_census(100));
+        journal.record(5, marker_census(105));  // heals the quarantine of cell 5
+        journal.record(3, marker_census(103));
+        EXPECT_TRUE(journal.resolved());
+    }
+    std::string want = expected_header(key);
+    for (const std::size_t index : {0u, 1u, 3u, 4u, 5u, 6u}) {
+        want += encode_cell_record(index, marker_census(100 + index)) + '\n';
+    }
+    want += expected_poison(2, 3, "lease-expired under 3 distinct workers");
+    want += expected_poison(7, 4, "lease-expired under 4 distinct workers");
+    EXPECT_EQ(slurp(path), want);
+
+    // A resumed journal renders the same bytes on its next write.
+    SweepJournal resumed(path, key, /*resume=*/true);
+    resumed.record(6, marker_census(106));
+    EXPECT_EQ(slurp(path), want);
+}
+
+TEST(JournalBytes, ResumeRewritesANonCanonicalRecordCanonically) {
+    const SweepJournalKey key{kBaseSeed, 0xabcdef, 3};
+    const fs::path path = journal_path("bytes_noncanonical");
+    {
+        SweepJournal journal(path, key);
+        journal.record(0, marker_census(40));
+        journal.record(1, marker_census(50));
+    }
+    // Rewrite cell 0's record with a doubled space and a leading zero, then
+    // re-checksum it: the record is intact, just not in canonical form.
+    const std::string canonical = encode_cell_record(0, marker_census(40));
+    std::string payload = canonical.substr(0, canonical.rfind(' '));
+    ASSERT_EQ(payload.rfind("cell 0 ", 0), 0u);
+    payload.replace(0, std::strlen("cell 0"), "cell  0");
+    const std::size_t field = payload.find(" 41 ");  // system_failures
+    ASSERT_NE(field, std::string::npos);
+    payload.replace(field, 4, " 041 ");
+    std::string text = slurp(path);
+    const std::size_t pos = text.find(canonical);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, canonical.size(), payload + ' ' + hex16(core::fnv1a(payload)));
+    spit(path, text);
+
+    SweepJournal resumed(path, key, /*resume=*/true);
+    ASSERT_NE(resumed.find(0), nullptr);
+    EXPECT_EQ(resumed.find(0)->system_failures, 41u);
+    resumed.record(2, marker_census(60));
+    EXPECT_EQ(slurp(path), expected_header(key) + canonical + '\n' +
+                               encode_cell_record(1, marker_census(50)) + '\n' +
+                               encode_cell_record(2, marker_census(60)) + '\n');
 }
 
 }  // namespace
