@@ -63,9 +63,22 @@ run ctest --test-dir build-asan -L 'resilience|chaos' --output-on-failure -j "$J
 # Distributed-torture smoke, cross-process: a real coordinator + 2 workers
 # (ASan+UBSan instrumented) over a unix socket, both worker links running a
 # deterministic FaultyTransport schedule.  The lossy campaign's merged
-# journal must be byte-identical to a lossless one.
+# journal must be byte-identical to a lossless one.  If any smoke step
+# fails, every process log is printed to stderr before the scratch dir goes.
 smoke="$(mktemp -d /tmp/zd_smoke.XXXXXX)"
-trap 'rm -rf "$smoke"' EXIT
+smoke_passed=0
+dump_smoke_logs() {
+    # Explicit statuses: a bare `return` in a trap reports the failing
+    # command's status, and set -e would then skip the cleanup.
+    [ "$smoke_passed" = 1 ] && return 0
+    for log in "$smoke"/*/*.log; do
+        [ -f "$log" ] || continue
+        echo "----- ${log#"$smoke"/} -----" >&2
+        cat "$log" >&2
+    done
+    return 0
+}
+trap 'dump_smoke_logs; rm -rf "$smoke"' EXIT
 zd=./build-asan/tools/zerodeg
 for mode in lossless lossy; do
     mkdir -p "$smoke/$mode"
@@ -73,12 +86,12 @@ for mode in lossless lossy; do
     if [ "$mode" = lossy ]; then faults="--net-faults 20100219"; fi
     run "$zd" sweep --coordinator --socket "$smoke/$mode/s.sock" \
         --checkpoint "$smoke/$mode/merged.journal" --seeds 6 --synthetic \
-        --idle-timeout-ms 60000 >"$smoke/$mode/coord.log" &
+        --idle-timeout-ms 60000 >"$smoke/$mode/coord.log" 2>&1 &
     coord=$!
     for w in 0 1; do
-        run "$zd" sweep --worker "$w/2" --socket "$smoke/$mode/s.sock" \
+        run "$zd" sweep --worker --socket "$smoke/$mode/s.sock" \
             --checkpoint "$smoke/$mode/w$w.journal" --seeds 6 --synthetic $faults \
-            >"$smoke/$mode/w$w.log" &
+            >"$smoke/$mode/w$w.log" 2>&1 &
     done
     wait
     if kill -0 "$coord" 2>/dev/null; then
@@ -97,7 +110,7 @@ echo "distributed smoke: lossy and lossless campaigns merged byte-identically" >
 mkdir -p "$smoke/killed"
 run "$zd" sweep --coordinator --socket "$smoke/killed/s.sock" \
     --checkpoint "$smoke/killed/merged.journal" --seeds 6 --synthetic \
-    --idle-timeout-ms 60000 >"$smoke/killed/coord.log" &
+    --idle-timeout-ms 60000 >"$smoke/killed/coord.log" 2>&1 &
 coord=$!
 "$zd" sweep --worker --socket "$smoke/killed/s.sock" \
     --checkpoint "$smoke/killed/victim.journal" --seeds 6 --synthetic \
@@ -108,10 +121,11 @@ kill -KILL "$victim" 2>/dev/null || true
 wait "$victim" 2>/dev/null || true
 run "$zd" sweep --worker --socket "$smoke/killed/s.sock" \
     --checkpoint "$smoke/killed/survivor.journal" --seeds 6 --synthetic \
-    >"$smoke/killed/survivor.log"
+    >"$smoke/killed/survivor.log" 2>&1
 wait "$coord"
 run cmp "$smoke/lossless/merged.journal" "$smoke/killed/merged.journal"
 echo "distributed smoke: campaign survived a SIGKILLed worker byte-identically" >&2
+smoke_passed=1
 
 echo "=== [5/7] compose smoke: sanitize + werror together ===" >&2
 run cmake -B build-asan-werror -S . -DZERODEG_SANITIZE=address,undefined -DZERODEG_WERROR=ON

@@ -25,16 +25,6 @@ namespace zerodeg::experiment {
 
 namespace fs = std::filesystem;
 
-std::vector<std::size_t> shard_cells(std::size_t cells, const ShardSpec& spec) {
-    if (spec.of == 0 || spec.shard >= spec.of) {
-        throw core::InvalidArgument("shard " + std::to_string(spec.shard) + " of " +
-                                    std::to_string(spec.of) + " is not a valid static shard spec");
-    }
-    std::vector<std::size_t> owned;
-    for (std::size_t i = spec.shard; i < cells; i += spec.of) owned.push_back(i);
-    return owned;
-}
-
 ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index) {
     // Mirrors ParallelCensus::build_configs for a single cell: same seed
     // derivation, same per-cell validation context.  Keeping these in step is
@@ -63,16 +53,13 @@ int frame_attempts(const monitoring::CollectorRetryPolicy& retry) {
 
 }  // namespace
 
-WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
+WorkerReport run_worker(const CensusPlan& plan, std::size_t worker,
                         const fs::path& journal_path, std::unique_ptr<core::Transport> link,
                         const WorkerOptions& opts) {
-    const bool lease_mode = spec.of == 0;
     WorkerReport report;
-    report.shard = spec.shard;
-    report.of = spec.of;
 
     const auto say = [&](const std::string& line) {
-        if (opts.log) opts.log("worker " + std::to_string(spec.shard) + ": " + line);
+        if (opts.log) opts.log("worker " + std::to_string(worker) + ": " + line);
     };
 
     // The local journal carries the *full campaign* key: it is a valid (if
@@ -130,7 +117,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
                 break;
             case FrameType::kReject:
                 throw core::StaleJournal("coordinator rejected worker " +
-                                         std::to_string(spec.shard) + ": " + frame.reason);
+                                         std::to_string(worker) + ": " + frame.reason);
             default:
                 break;  // worker-to-coordinator frames echoed back; ignore
         }
@@ -154,11 +141,10 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
         return until();
     };
 
-    // Simulate the missing cells of `cells` into the local journal, each
-    // durable before it is ever streamed.  When attached to a lease
-    // (lease_id != kNoLease) the worker checks in around the work: serial
-    // simulation heartbeats before and reports progress after every cell;
-    // a jobs>1 fan-out brackets the whole batch instead.
+    // Simulate the missing cells of a lease into the local journal, each
+    // durable before it is ever streamed.  The worker checks in around the
+    // work: serial simulation heartbeats before and reports progress after
+    // every cell; a jobs>1 fan-out brackets the whole batch instead.
     const auto simulate_cells = [&](const std::vector<std::size_t>& cells,
                                     std::uint64_t lease_id) {
         std::vector<std::size_t> missing;
@@ -173,7 +159,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
         if (missing.empty()) return;
         report.cells_computed += missing.size();
         if (opts.jobs > 1 && missing.size() > 1) {
-            if (lease_id != kNoLease) send_heartbeat(lease_id);
+            send_heartbeat(lease_id);
             (void)runner.map(
                 missing.size(),
                 [&](std::size_t k) {
@@ -183,35 +169,18 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
                     return census;
                 },
                 core::CellRetry{plan.cell_attempts});
-            if (lease_id != kNoLease) {
-                (void)soft_send(encode_progress(lease_id, missing.size(), missing.size()));
-            }
+            (void)soft_send(encode_progress(lease_id, missing.size(), missing.size()));
         } else {
             std::size_t finished = 0;
             for (const std::size_t idx : missing) {
-                if (lease_id != kNoLease) send_heartbeat(lease_id);
+                send_heartbeat(lease_id);
                 const FaultCensus census = run_cell(plan, cell_config(plan, idx));
                 journal.record(idx, census);
                 ++finished;
-                if (lease_id != kNoLease) {
-                    (void)soft_send(encode_progress(lease_id, finished, missing.size()));
-                }
+                (void)soft_send(encode_progress(lease_id, finished, missing.size()));
             }
         }
     };
-
-    // Compatibility phase 1: a static shard is simulated up front, durable
-    // in the local journal before a single byte hits the wire, so a death
-    // anywhere later resumes without re-simulating anything — and an offline
-    // run still leaves the full shard buffered for a later re-stream.
-    if (!lease_mode) {
-        const std::vector<std::size_t> owned = shard_cells(plan.seeds, spec);
-        report.cells_owned = owned.size();
-        simulate_cells(owned, kNoLease);
-        if (report.cells_computed > 0) {
-            say("simulated " + std::to_string(report.cells_computed) + " cells");
-        }
-    }
 
     // Stream one journaled cell until acked (bounded resends).  A cell left
     // unacked on an alive link is not lost: the coordinator re-grants it.
@@ -238,7 +207,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
     };
 
     // Everything the local journal holds unacked — resumed cells, a zombie's
-    // stale shard, a crashed lease — streams first; dedupe absorbs replays.
+    // stale cells, a crashed lease — streams first; dedupe absorbs replays.
     const auto stream_backlog = [&] {
         for (std::size_t i = 0; i < key.cells && !done; ++i) {
             if (acked.count(i) != 0 || journal.find(i) == nullptr) continue;
@@ -251,7 +220,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
     // The handshake is supervisor machinery, not cell delivery: even a
     // zero-retry cell policy re-hellos, else one swallowed frame strands a
     // healthy worker offline for the whole campaign.
-    const std::string hello = encode_hello(ShardHello{key, spec.shard, spec.of});
+    const std::string hello = encode_hello(ShardHello{key, worker});
     const auto handshake = [&]() -> bool {
         welcomed = false;
         const int attempts = std::max(frame_attempts(opts.retry), 4);
@@ -349,7 +318,6 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
         }
     }
 
-    if (lease_mode) report.cells_owned = touched.size();
     for (const std::size_t idx : touched) {
         if (acked.count(idx) != 0) continue;
         const FaultCensus* census = journal.find(idx);
@@ -437,7 +405,6 @@ namespace {
 /// Coordinator-side view of one worker link.
 struct LinkState {
     std::unique_ptr<core::Transport> link;
-    std::size_t serial = 0;
     bool welcomed = false;
     std::string holder;  ///< identity for the poison meter
     bool has_lease = false;
@@ -599,10 +566,6 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
                 crash_check(Phase::kAfterRecord, frame_index);
                 if (match) {
                     ls.welcomed = true;
-                    ls.holder = frame.hello.of > 0
-                                    ? "shard " + std::to_string(frame.hello.shard) + "/" +
-                                          std::to_string(frame.hello.of)
-                                    : "worker#" + std::to_string(ls.serial);
                     say(ls.holder + " joined");
                     (void)reply(*ls.link, encode_welcome(im.journal.completed()));
                 } else {
@@ -672,8 +635,7 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
         while (std::unique_ptr<core::Transport> fresh = listener.accept(0)) {
             LinkState ls;
             ls.link = std::move(fresh);
-            ls.serial = next_serial++;
-            ls.holder = "worker#" + std::to_string(ls.serial);
+            ls.holder = "worker#" + std::to_string(next_serial++);
             links.push_back(std::move(ls));
             ++im.report.links_accepted;
             progress = true;
@@ -760,8 +722,8 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
 
 fs::path merged_journal_path(const fs::path& scratch) { return scratch / "merged.journal"; }
 
-fs::path worker_journal_path(const fs::path& scratch, std::size_t shard) {
-    return scratch / ("worker-" + std::to_string(shard) + ".journal");
+fs::path worker_journal_path(const fs::path& scratch, std::size_t worker) {
+    return scratch / ("worker-" + std::to_string(worker) + ".journal");
 }
 
 DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scratch,
@@ -799,7 +761,7 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
 
     // One worker pass over a possibly-faulty link.  Returns true if the
     // planned link kill fired (SimulatedCrash); other failures propagate.
-    const auto run_one = [&](std::size_t shard, const core::TransportFaultPlan& faults,
+    const auto run_one = [&](std::size_t worker, const core::TransportFaultPlan& faults,
                              const std::string& channel, bool resume) -> bool {
         WorkerOptions wopts;
         wopts.jobs = opts.worker_jobs;
@@ -823,9 +785,8 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
             link = nullptr;  // coordinator already gone: offline mode
         }
         try {
-            out.workers[shard] = run_worker(plan, ShardSpec{shard, 0},
-                                            worker_journal_path(scratch, shard), std::move(link),
-                                            wopts);
+            out.workers[worker] = run_worker(plan, worker, worker_journal_path(scratch, worker),
+                                             std::move(link), wopts);
             return false;
         } catch (const core::SimulatedCrash&) {
             return true;

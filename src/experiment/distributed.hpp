@@ -28,13 +28,6 @@
 // as a `poison` record (holding the slot so the campaign resolves instead of
 // wedging) and reported loudly; CoordinatorService::result() then throws
 // core::LeaseExpired rather than hand back a table with holes.
-//
-// Compatibility spelling: a ShardSpec with of > 0 still names the historic
-// static `cell % of` shard.  Online it behaves exactly like a lease worker —
-// it pre-simulates its shard durably, streams it, then pulls leases for
-// whatever remains — and offline it degrades to simulating the static shard
-// into the local journal, reporting the cells as buffered.  Re-running the
-// worker once the coordinator is back re-streams them without re-simulating.
 #pragma once
 
 #include <cstddef>
@@ -60,18 +53,6 @@ namespace zerodeg::experiment {
 /// poison: quarantined, reported, never granted again.
 inline constexpr std::size_t kMaxLeaseAttempts = 3;
 
-/// Which slice of the campaign a worker owns.  `of > 0`: the static shard of
-/// cells where index % of == shard.  `of == 0`: lease mode — no static
-/// ownership, the coordinator assigns work; `shard` is just a label.
-struct ShardSpec {
-    std::size_t shard = 0;
-    std::size_t of = 1;
-};
-
-/// The cell indices of `spec` within a campaign of `cells` cells, ascending.
-/// Requires a static spec (of > 0).
-[[nodiscard]] std::vector<std::size_t> shard_cells(std::size_t cells, const ShardSpec& spec);
-
 /// The config of a single campaign cell, exactly as ParallelCensus would
 /// build it (same seed derivation, same per-cell validation context).
 [[nodiscard]] ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index);
@@ -80,7 +61,7 @@ struct ShardSpec {
 [[nodiscard]] FaultCensus run_cell(const CensusPlan& plan, const ExperimentConfig& config);
 
 struct WorkerOptions {
-    std::size_t jobs = 1;  ///< fan-out for the local simulate phase
+    std::size_t jobs = 1;  ///< fan-out for simulating a lease's cells
     bool resume = true;    ///< reuse cells already in the local journal
     /// Frame resend budget: a CELL frame gets max_attempts tries (sends
     /// swallowed by the link or left unacked past the ack timeout count as
@@ -103,9 +84,6 @@ struct WorkerOptions {
 };
 
 struct WorkerReport {
-    std::size_t shard = 0;
-    std::size_t of = 1;              ///< 0 = lease mode
-    std::size_t cells_owned = 0;     ///< static shard size, or distinct cells touched
     std::size_t cells_computed = 0;  ///< simulated fresh this run
     std::size_t cells_reused = 0;    ///< found in the local journal
     std::size_t leases_held = 0;     ///< LEASE grants processed
@@ -122,16 +100,16 @@ struct WorkerReport {
     bool degraded = false;  ///< finished with unacked cells and no DONE
 };
 
-/// Run one worker: pull leases over `link` (see the file comment for the
-/// static-shard compatibility spelling), simulating granted cells into the
-/// local journal at `journal_path` — opened with the *full-campaign* key, so
-/// the file is a valid resume point for a local run too — and streaming them
-/// until the coordinator sends DONE.  `link` may be nullptr: offline mode,
-/// simulate + journal only (static specs only; a lease worker has nothing to
-/// do offline).  Throws core::StaleJournal if the coordinator rejects the
-/// handshake, and lets core::SimulatedCrash propagate (the torture
-/// harness's kill switch).
-[[nodiscard]] WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
+/// Run one worker: stream the unacked backlog of the local journal at
+/// `journal_path` — opened with the *full-campaign* key, so the file is a
+/// valid resume point for a local run too — then pull leases over `link`,
+/// simulating granted cells into that journal and streaming them until the
+/// coordinator sends DONE.  `worker` labels log lines and the HELLO.
+/// `link` may be nullptr (coordinator unreachable): there is then nothing
+/// to do and the report says so.  Throws core::StaleJournal if the
+/// coordinator rejects the handshake, and lets core::SimulatedCrash
+/// propagate (the torture harness's kill switch).
+[[nodiscard]] WorkerReport run_worker(const CensusPlan& plan, std::size_t worker,
                                       const std::filesystem::path& journal_path,
                                       std::unique_ptr<core::Transport> link,
                                       const WorkerOptions& opts = {});
@@ -272,7 +250,7 @@ struct DistributedOutcome {
 /// Journal layout under a scratch directory.
 [[nodiscard]] std::filesystem::path merged_journal_path(const std::filesystem::path& scratch);
 [[nodiscard]] std::filesystem::path worker_journal_path(const std::filesystem::path& scratch,
-                                                        std::size_t shard);
+                                                        std::size_t worker);
 
 [[nodiscard]] DistributedOutcome run_distributed(const CensusPlan& plan,
                                                  const std::filesystem::path& scratch,

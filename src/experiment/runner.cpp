@@ -187,20 +187,13 @@ void ExperimentRunner::tick() {
     net_.step(config_.tick);
     check_switches();
 
-    // Hosts: the two engines are bit-identical (test_hazard_table proves it
-    // per release); the per-object loop is the readable reference, the
-    // batched pass the throughput path.
-    if (config_.engine == TickEngine::kBatched) {
-        host_pass_batched(now, outside, tent_air, basement_air);
-    } else {
-        host_pass_per_object(now, outside, tent_air, basement_air);
-    }
+    // Hosts: thermal step, hazard, sensors and component wear, in fleet order.
+    host_pass(now, outside, tent_air, basement_air);
 }
 
-void ExperimentRunner::host_pass_per_object(const TimePoint now,
-                                            const weather::WeatherSample& outside,
-                                            const thermal::EnclosureAir& tent_air,
-                                            const thermal::EnclosureAir& basement_air) {
+void ExperimentRunner::host_pass(const TimePoint now, const weather::WeatherSample& outside,
+                                 const thermal::EnclosureAir& tent_air,
+                                 const thermal::EnclosureAir& basement_air) {
     bool condensation_observed = false;
     for (hardware::HostRecord& rec : fleet_.hosts()) {
         hardware::Server& server = *rec.server;
@@ -260,143 +253,6 @@ void ExperimentRunner::host_pass_per_object(const TimePoint now,
         }
 
         // Condensation is tracked on the first tent host's case surface.
-        if (in_tent && !condensation_observed && server.operational()) {
-            condensation_.observe(now, server.case_surface_temperature(), tent_air.temperature,
-                                  tent_air.humidity);
-            condensation_observed = true;
-        }
-    }
-}
-
-void ExperimentRunner::BatchScratch::clear() {
-    recs.clear();
-    in_tent.clear();
-    operational.clear();
-    announce.clear();
-    intake_c.clear();
-    humidity.clear();
-    age_hours.clear();
-    cycling.clear();
-    unreliable.clear();
-    hazard.clear();
-}
-
-// The SoA fast path: gather per-host stress into contiguous arrays, run the
-// shared hazard kernel over them in one sweep, then scatter the results in
-// fleet order.  Every arithmetic expression, RNG draw, log append, and
-// scheduler call happens in the same order and with the same operands as
-// host_pass_per_object — the gather stage touches only per-server state
-// (Server has no access to the event log or simulator), and all shared side
-// effects (injector RNG, fault/event logs, schedule_at, condensation) are
-// sequenced host-by-host in the scatter stage.
-void ExperimentRunner::host_pass_batched(const TimePoint now,
-                                         const weather::WeatherSample& outside,
-                                         const thermal::EnclosureAir& tent_air,
-                                         const thermal::EnclosureAir& basement_air) {
-    BatchScratch& b = batch_;
-    b.clear();
-
-    const bool tent_breezy = tent_->has_modification(thermal::TentMod::kBottomOpened) ||
-                             tent_->has_modification(thermal::TentMod::kFanInstalled);
-    const double tent_airflow = tent_breezy ? 1.0 + 0.04 * outside.wind.value() : 1.0;
-    const double dt_hours = static_cast<double>(config_.tick.count()) / 3600.0;
-
-    // Gather: thermal step + stress capture.  Power-on announcements are
-    // deferred to the scatter loop so event-log order matches the reference
-    // engine (a mid-season install must not log ahead of an earlier host's
-    // same-tick failure records).
-    for (hardware::HostRecord& rec : fleet_.hosts()) {
-        hardware::Server& server = *rec.server;
-        if (rec.install_date > now) continue;
-
-        const bool in_tent = rec.placement == hardware::Placement::kTent;
-        const thermal::EnclosureAir& air =
-            in_tent ? tent_air : basement_air;  // indoors ~ basement conditions
-
-        bool announce = false;
-        if (server.state() == hardware::RunState::kPoweredOff) {
-            server.power_on(air.temperature);
-            // Archive: the averaged archival duty cycle.  Traffic: idle
-            // until the engine publishes the first real busy fraction.
-            server.set_cpu_load(traffic_ ? 0.0 : 0.3);
-            announce = true;
-        }
-
-        server.step(config_.tick, air.temperature, in_tent ? tent_airflow : 1.0);
-
-        const bool operational = server.operational();
-        double cycling = 0.0;
-        if (operational) {
-            const auto last = last_intake_.find(server.id());
-            if (last != last_intake_.end()) {
-                cycling = std::abs(air.temperature.value() - last->second) /
-                          (static_cast<double>(config_.tick.count()) / 3600.0);
-            }
-            last_intake_[server.id()] = air.temperature.value();
-        }
-
-        b.recs.push_back(&rec);
-        b.in_tent.push_back(in_tent ? 1 : 0);
-        b.operational.push_back(operational ? 1 : 0);
-        b.announce.push_back(announce ? 1 : 0);
-        b.intake_c.push_back(air.temperature.value());
-        b.humidity.push_back(air.humidity.value());
-        b.age_hours.push_back(kRecycledAgeHours + server.uptime_hours());
-        b.cycling.push_back(cycling);
-        b.unreliable.push_back(server.spec().known_unreliable ? 1 : 0);
-    }
-
-    // Kernel: one table-backed hazard sweep over the whole fleet.
-    const std::size_t n = b.recs.size();
-    b.hazard.resize(n);
-    if (n > 0) {
-        faults::StressSoa soa;
-        soa.intake_c = b.intake_c.data();
-        soa.humidity = b.humidity.data();
-        soa.age_hours = b.age_hours.data();
-        soa.cycling_rate_k_per_h = b.cycling.data();
-        soa.known_unreliable = b.unreliable.data();
-        injector_.model().hazard_per_hour(soa, n, b.hazard.data());
-    }
-
-    // Scatter: commit hazards and run the shared-state consequences in
-    // fleet order, exactly as the per-object loop interleaves them.
-    bool condensation_observed = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        hardware::HostRecord& rec = *b.recs[i];
-        hardware::Server& server = *rec.server;
-        const bool in_tent = b.in_tent[i] != 0;
-        const thermal::EnclosureAir& air = in_tent ? tent_air : basement_air;
-
-        if (b.announce[i] != 0) {
-            event_log_.record(now, LogLevel::kInfo, server.name(),
-                              std::string("installed and powered on (") +
-                                  hardware::to_string(rec.placement) + ")");
-        }
-
-        if (b.operational[i] != 0) {
-            // Stress-driven system-failure process (hazard precomputed).
-            const auto severity = injector_.commit_host(server.id(), b.hazard[i] * dt_hours,
-                                                        now, server.name(), in_tent, fault_log_);
-            if (severity) handle_failure(rec, *severity);
-
-            // The lm-sensors anomaly watch (Section 4.2.1).
-            if (const auto reading = server.read_cpu_sensor()) {
-                if (reading->value() < -100.0) handle_sensor_incident(rec, *reading);
-            }
-
-            // Component-level wear (fans, disks, media).
-            const auto it_cf = component_faults_.find(server.id());
-            if (it_cf != component_faults_.end()) {
-                const auto events = it_cf->second.advance(
-                    config_.tick, air.temperature, server.hdd_temperature(), air.humidity);
-                if (!events.empty()) apply_component_events(rec, events);
-            }
-        }
-
-        // Condensation is tracked on the first tent host's case surface —
-        // operational() re-checked live because a same-tick crash (handled
-        // just above) must skip this host, as it does in the reference loop.
         if (in_tent && !condensation_observed && server.operational()) {
             condensation_.observe(now, server.case_surface_temperature(), tent_air.temperature,
                                   tent_air.humidity);

@@ -72,7 +72,7 @@ const char* to_string(FrameType type) {
 std::string encode_hello(const ShardHello& hello) {
     std::ostringstream out;
     out << kMagic << " hello " << hello.key.base_seed << ' ' << hex16(hello.key.config_hash)
-        << ' ' << hello.key.cells << ' ' << hello.shard << ' ' << hello.of;
+        << ' ' << hello.key.cells << ' ' << hello.worker;
     return seal(out.str());
 }
 
@@ -157,16 +157,8 @@ Frame decode_frame(std::string_view bytes) {
         frame.hello.key.base_seed = parse_u64(next("base_seed"), "base_seed");
         frame.hello.key.config_hash = parse_hex(next("config_hash"));
         frame.hello.key.cells = static_cast<std::size_t>(parse_u64(next("cells"), "cells"));
-        frame.hello.shard = static_cast<std::size_t>(parse_u64(next("shard"), "shard"));
-        frame.hello.of = static_cast<std::size_t>(parse_u64(next("of"), "of"));
+        frame.hello.worker = static_cast<std::size_t>(parse_u64(next("worker"), "worker"));
         no_trailing();
-        // of == 0 is the lease-mode hello (no static shard claimed); a
-        // *static* hello naming an out-of-range shard is still nonsense.
-        if (frame.hello.of != 0 && frame.hello.shard >= frame.hello.of) {
-            throw core::CorruptData("hello frame names shard " +
-                                    std::to_string(frame.hello.shard) + " of " +
-                                    std::to_string(frame.hello.of));
-        }
     } else if (type == "welcome") {
         frame.type = FrameType::kWelcome;
         frame.completed = static_cast<std::size_t>(parse_u64(next("completed"), "completed"));

@@ -6,7 +6,7 @@
 // trusted.  The transport layer underneath (core/transport.hpp) adds length
 // prefixes; this layer adds meaning and integrity.
 //
-//   HELLO    worker -> coordinator   "I shard <shard>/<of> of the campaign
+//   HELLO    worker -> coordinator   "I am worker <label> of the campaign
 //                                    (base_seed, config_hash, cells)."
 //   WELCOME  coordinator -> worker   "Same campaign; I already hold
 //                                    <completed> cells — stream yours."
@@ -67,13 +67,11 @@ enum class FrameType {
 /// "give me work" pull request.
 inline constexpr std::uint64_t kNoLease = std::numeric_limits<std::uint64_t>::max();
 
-/// The HELLO handshake: which campaign, and which shard of it.  `of == 0` is
-/// the lease-mode spelling: the worker owns no static shard and pulls leases
-/// instead (`shard` is then just a self-chosen label for diagnostics).
+/// The HELLO handshake: which campaign the worker is journaling.  The
+/// worker owns no cells up front; it pulls leases once welcomed.
 struct ShardHello {
     SweepJournalKey key;
-    std::size_t shard = 0;  ///< static: shard index; lease mode: worker label
-    std::size_t of = 1;     ///< static shard count, or 0 for lease mode
+    std::size_t worker = 0;  ///< self-chosen label, for diagnostics only
 };
 
 /// A coordinator-granted work lease: compute these cells, check in (any

@@ -69,18 +69,6 @@ std::optional<FaultSeverity> FaultInjector::advance_host(int host_id, core::Dura
     return record_failure(it->second, now, source, in_tent, log);
 }
 
-std::optional<FaultSeverity> FaultInjector::commit_host(int host_id, double hazard_hours,
-                                                        core::TimePoint now,
-                                                        const std::string& source, bool in_tent,
-                                                        FaultLog& log) {
-    const auto it = processes_.find(host_id);
-    if (it == processes_.end()) {
-        throw core::InvalidArgument("FaultInjector::commit_host: unknown host");
-    }
-    if (!it->second.accumulate(hazard_hours)) return std::nullopt;
-    return record_failure(it->second, now, source, in_tent, log);
-}
-
 const HostFaultProcess* FaultInjector::process(int host_id) const {
     const auto it = processes_.find(host_id);
     return it == processes_.end() ? nullptr : &it->second;

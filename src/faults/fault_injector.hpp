@@ -49,12 +49,6 @@ public:
     /// system failure fires within this interval.
     [[nodiscard]] bool advance(core::Duration dt, const StressState& stress);
 
-    /// Batched-engine entry point: add an already-evaluated hazard integral
-    /// (failures/hour x hours) to the accumulator.  Identical crossing
-    /// arithmetic to advance(); callers must feed the same products the
-    /// per-object path would compute.
-    [[nodiscard]] bool accumulate(double hazard_hours);
-
     /// Classify the failure that just fired (call once per fired event).
     [[nodiscard]] FaultSeverity classify_failure();
 
@@ -64,6 +58,9 @@ public:
     [[nodiscard]] bool known_unreliable() const { return known_unreliable_; }
 
 private:
+    /// Add a hazard integral (failures/hour x hours); true on a crossing.
+    [[nodiscard]] bool accumulate(double hazard_hours);
+
     int host_id_;
     bool known_unreliable_;
     InjectorParams params_;
@@ -88,18 +85,8 @@ public:
         int host_id, core::Duration dt, const StressState& stress, core::TimePoint now,
         const std::string& source, bool in_tent, FaultLog& log);
 
-    /// Batched-engine twin of advance_host: the hazard integral for this
-    /// tick was already computed by the shared model's SoA kernel; commit it
-    /// and log exactly as advance_host would have.
-    [[nodiscard]] std::optional<FaultSeverity> commit_host(int host_id, double hazard_hours,
-                                                           core::TimePoint now,
-                                                           const std::string& source,
-                                                           bool in_tent, FaultLog& log);
-
     [[nodiscard]] const HostFaultProcess* process(int host_id) const;
     [[nodiscard]] const InjectorParams& params() const { return params_; }
-    /// The config-wide hazard model (one table build per injector).
-    [[nodiscard]] const HostHazardModel& model() const { return *model_; }
 
 private:
     [[nodiscard]] FaultSeverity record_failure(HostFaultProcess& process, core::TimePoint now,

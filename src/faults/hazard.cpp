@@ -52,33 +52,23 @@ HostHazardModel::HostHazardModel(HostHazardParams params)
       base_per_hour_(params.base_afr / kHoursPerYear),
       bathtub_mid_(bathtub_.hazard_per_hour(10000.0)) {}  // mid-life reference
 
-double HostHazardModel::hazard_one(double intake_c, double humidity_pct, double age_hours,
-                                   double cycling_rate_k_per_h, bool known_unreliable) const {
+double HostHazardModel::hazard_per_hour(const StressState& s) const {
     // Normalize the bathtub so a mid-life host matches base_afr at reference
     // conditions, then scale by the acceleration factors.  Kept as a divide
     // (not a cached reciprocal) to round exactly like the pre-table code.
-    const double age_shape = bathtub_.hazard_per_hour(age_hours) / bathtub_mid_;
+    const double age_shape = bathtub_.hazard_per_hour(s.age_hours) / bathtub_mid_;
 
     // Arrhenius works on component temperature; approximate it as intake
     // plus the same rise assumed at reference (the reference is "component
     // temp when intake is office air").
-    const Celsius component_temp = Celsius{intake_c} + Celsius{24.0};
+    const Celsius component_temp = s.intake + Celsius{24.0};
     double accel = table_.arrhenius(component_temp);
-    if (humidity_pct > params_.humidity_knee.value()) {
-        accel *= table_.peck(RelHumidity{humidity_pct});
-    }
-    accel *= cold_.acceleration(Celsius{intake_c});
-    accel *= 1.0 + params_.cycling_coeff_per_k_per_h * std::max(0.0, cycling_rate_k_per_h);
-    if (known_unreliable) accel *= params_.unreliable_multiplier;
+    if (s.humidity.value() > params_.humidity_knee.value()) accel *= table_.peck(s.humidity);
+    accel *= cold_.acceleration(s.intake);
+    accel *= 1.0 + params_.cycling_coeff_per_k_per_h * std::max(0.0, s.cycling_rate_k_per_h);
+    if (s.known_unreliable) accel *= params_.unreliable_multiplier;
 
     return base_per_hour_ * age_shape * accel;
-}
-
-void HostHazardModel::hazard_per_hour(const StressSoa& soa, std::size_t n, double* out) const {
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = hazard_one(soa.intake_c[i], soa.humidity[i], soa.age_hours[i],
-                            soa.cycling_rate_k_per_h[i], soa.known_unreliable[i] != 0);
-    }
 }
 
 }  // namespace zerodeg::faults

@@ -11,13 +11,8 @@
 // into a single failures-per-hour rate the injector integrates through time.
 //
 // The analytic Arrhenius/Peck classes and their table-backed fast form live
-// in faults/hazard_table.hpp; HostHazardModel routes every evaluation —
-// scalar or batched — through the shared table so both census engines see
-// bit-identical hazards.
+// in faults/hazard_table.hpp; HostHazardModel evaluates through the table.
 #pragma once
-
-#include <cstddef>
-#include <cstdint>
 
 #include "core/units.hpp"
 #include "faults/hazard_table.hpp"
@@ -74,17 +69,6 @@ struct StressState {
     bool known_unreliable = false;  ///< the vendor-B flaky series
 };
 
-/// Structure-of-arrays view of per-host stress for the batched census
-/// engine: parallel arrays, one slot per host, `known_unreliable` as 0/1.
-/// Same fields as StressState, laid out for contiguous sweeps.
-struct StressSoa {
-    const double* intake_c = nullptr;
-    const double* humidity = nullptr;
-    const double* age_hours = nullptr;
-    const double* cycling_rate_k_per_h = nullptr;
-    const std::uint8_t* known_unreliable = nullptr;
-};
-
 struct HostHazardParams {
     /// Baseline annual failure rate (AFR) of a healthy host in spec.  The
     /// fleet is end-of-life hardware headed for recycling, so this sits
@@ -111,22 +95,12 @@ public:
     explicit HostHazardModel(HostHazardParams params = {});
 
     /// Failures per hour under the given stress.
-    [[nodiscard]] double hazard_per_hour(const StressState& s) const {
-        return hazard_one(s.intake.value(), s.humidity.value(), s.age_hours,
-                          s.cycling_rate_k_per_h, s.known_unreliable);
-    }
-
-    /// Batched evaluation over `n` slots; writes failures/hour into `out`.
-    /// Bit-identical to calling the scalar overload slot by slot.
-    void hazard_per_hour(const StressSoa& soa, std::size_t n, double* out) const;
+    [[nodiscard]] double hazard_per_hour(const StressState& s) const;
 
     [[nodiscard]] const HostHazardParams& params() const { return params_; }
     [[nodiscard]] const HazardTable& table() const { return table_; }
 
 private:
-    [[nodiscard]] double hazard_one(double intake_c, double humidity_pct, double age_hours,
-                                    double cycling_rate_k_per_h, bool known_unreliable) const;
-
     HostHazardParams params_;
     HazardTable table_;
     ColdStressModel cold_;

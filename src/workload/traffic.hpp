@@ -20,8 +20,7 @@
 // defense evaluated by the cloning reproducibility report in PAPERS.md.
 //
 // The engine is a continuous-time event loop advanced one experiment tick
-// at a time, independent of the host-pass tick engine; per-object and
-// batched engines therefore see byte-identical traffic by construction.
+// at a time, independent of the runner's host pass.
 #pragma once
 
 #include <cstdint>

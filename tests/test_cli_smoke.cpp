@@ -50,6 +50,8 @@ TEST(CliSmoke, UnknownFlagIsAUsageError) {
     EXPECT_EQ(run_cli("prototype --walrus 3"), 2);
     // A flag another subcommand owns is still unknown here.
     EXPECT_EQ(run_cli("weather --seeds 3"), 2);
+    // The runner has one host pass, so census takes no --engine.
+    EXPECT_EQ(run_cli("census --engine batched"), 2);
 }
 
 TEST(CliSmoke, MalformedNumbersAreUsageErrors) {

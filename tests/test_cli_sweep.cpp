@@ -1,7 +1,7 @@
 // End-to-end test of `zerodeg sweep`: real worker and coordinator processes
-// talking over a real unix socket, lossy links via --net-faults, degraded
-// buffering when the coordinator is away, and byte-identical convergence
-// with a local `zerodeg census` run of the same campaign.
+// talking over a real unix socket, lossy links via --net-faults, draining a
+// locally buffered journal once the coordinator is back, and byte-identical
+// convergence with a local `zerodeg census` run of the same campaign.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -39,8 +39,8 @@ fs::path short_scratch(const std::string& name) {
     return dir;
 }
 
-/// Launch coordinator + K workers as real processes, wait for all, return
-/// each one's result (coordinator first).
+/// Launch coordinator + K lease-pulling workers as real processes, wait for
+/// all, return each one's result (coordinator first).
 std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std::size_t workers,
                                                        const std::string& common,
                                                        const std::string& worker_extra) {
@@ -54,11 +54,9 @@ std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std:
     });
     for (std::size_t w = 0; w < workers; ++w) {
         threads.emplace_back([&, w] {
-            results[w + 1] =
-                run_cli("sweep --worker " + std::to_string(w) + "/" + std::to_string(workers) +
-                        " --socket " + socket + " --checkpoint " +
-                        (dir / ("w" + std::to_string(w) + ".journal")).string() + " " + common +
-                        " " + worker_extra);
+            results[w + 1] = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
+                                     (dir / ("w" + std::to_string(w) + ".journal")).string() +
+                                     " " + common + " " + worker_extra);
         });
     }
     for (std::thread& t : threads) t.join();
@@ -67,15 +65,20 @@ std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std:
 
 TEST(CliSweep, UsageErrors) {
     EXPECT_EQ(run_cli("sweep").exit_code, 2);  // neither role
-    EXPECT_EQ(run_cli("sweep --coordinator --worker 0/2 --socket /tmp/x --checkpoint /tmp/y")
+    EXPECT_EQ(run_cli("sweep --coordinator --worker --socket /tmp/x --checkpoint /tmp/y")
                   .exit_code,
               2);  // both roles
     EXPECT_EQ(run_cli("sweep --coordinator --checkpoint /tmp/y").exit_code, 2);  // no socket
     EXPECT_EQ(run_cli("sweep --coordinator --socket /tmp/x").exit_code, 2);  // no checkpoint
-    EXPECT_EQ(run_cli("sweep --worker 2/2 --socket /tmp/x --checkpoint /tmp/y").exit_code, 2);
-    EXPECT_EQ(run_cli("sweep --worker banana --socket /tmp/x --checkpoint /tmp/y").exit_code, 2);
-    EXPECT_EQ(run_cli("sweep --worker 0/2 --socket /tmp/x --checkpoint /tmp/y --torture")
-                  .exit_code,
+    // --worker takes no value (no static I/K shard); the diagnostic points
+    // at the bare flag.
+    for (const char* value : {"0/2", "2/2", "banana"}) {
+        const auto r = run_cli(std::string("sweep --worker ") + value +
+                               " --socket /tmp/x --checkpoint /tmp/y");
+        EXPECT_EQ(r.exit_code, 2) << value;
+        EXPECT_NE(r.output.find("bare --worker"), std::string::npos) << r.output;
+    }
+    EXPECT_EQ(run_cli("sweep --worker --socket /tmp/x --checkpoint /tmp/y --torture").exit_code,
               2);  // census-only flag
     EXPECT_EQ(run_cli("sweep --worker --spawn-workers 2 --socket /tmp/x --checkpoint /tmp/y")
                   .exit_code,
@@ -185,22 +188,20 @@ TEST(CliSweep, UnreachableCoordinatorDegradesToLocalBufferingThenDrains) {
     const std::string journal = (dir / "w0.journal").string();
     const std::string common = "--seeds 4 --synthetic";
 
-    // No coordinator anywhere: the worker must still succeed, with every
-    // cell buffered in its local journal.
-    const auto offline = run_cli("sweep --worker 0/1 --socket " + socket + " --checkpoint " +
-                                 journal + " " + common);
-    ASSERT_EQ(offline.exit_code, 0) << offline.output;
-    EXPECT_NE(offline.output.find("degraded"), std::string::npos) << offline.output;
-    EXPECT_NE(offline.output.find("4 cell(s) buffered"), std::string::npos) << offline.output;
+    // While no coordinator is reachable the cells are buffered in a local
+    // journal: a local census checkpoint carries the same campaign key a
+    // worker's own journal does.
+    const auto local = run_cli("census --checkpoint " + journal + " " + common);
+    ASSERT_EQ(local.exit_code, 0) << local.output;
     ASSERT_TRUE(fs::exists(journal));
 
-    // The coordinator comes back; a re-run streams the buffered cells
-    // without re-simulating a thing.
+    // The coordinator comes back; a worker over that journal streams the
+    // buffered cells without re-simulating a thing.
     std::thread coordinator([&] {
         (void)run_cli("sweep --coordinator --socket " + socket + " --checkpoint " +
                       (dir / "merged.journal").string() + " --idle-timeout-ms 30000 " + common);
     });
-    const auto drained = run_cli("sweep --worker 0/1 --socket " + socket + " --checkpoint " +
+    const auto drained = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
                                  journal + " " + common);
     coordinator.join();
     ASSERT_EQ(drained.exit_code, 0) << drained.output;
@@ -220,7 +221,7 @@ TEST(CliSweep, ForeignCampaignWorkerIsRejected) {
     });
     // Same cell count, different campaign shape (--end changes every cell's
     // config hash): the coordinator must turn the worker away loudly.
-    const auto rejected = run_cli("sweep --worker 0/1 --socket " + socket + " --checkpoint " +
+    const auto rejected = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
                                   (dir / "w0.journal").string() +
                                   " --seeds 4 --synthetic --end 2010-02-20");
     EXPECT_EQ(rejected.exit_code, 1) << rejected.output;

@@ -1,23 +1,14 @@
-// The hazard lookup table and the SoA fast path it feeds.
+// The hazard lookup table HostHazardModel evaluates through.
 //
-// Two properties protect the census results:
-//   1. Accuracy: the tabulated Arrhenius/Peck factors match the analytic
-//      models to 1e-9 relative across the whole acceptance grid, and fall
-//      back to the analytic models *exactly* outside the tabulated window.
-//   2. Identity: the batched (SoA) hazard kernel and the scalar path return
-//      bit-identical values, and the batched tick engine reproduces the
-//      per-object engine's season byte for byte — fault log, event log and
-//      census — for any jobs value.
+// Accuracy protects the census results: the tabulated Arrhenius/Peck factors
+// match the analytic models to 1e-9 relative across the whole acceptance
+// grid, and fall back to the analytic models *exactly* outside the
+// tabulated window.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
-#include <vector>
 
-#include "experiment/census.hpp"
-#include "experiment/parallel_census.hpp"
-#include "experiment/runner.hpp"
-#include "faults/hazard.hpp"
+#include "core/error.hpp"
 #include "faults/hazard_table.hpp"
 
 namespace zerodeg::faults {
@@ -77,125 +68,5 @@ TEST(HazardTable, OutOfRangeFallsBackToAnalyticExactly) {
     EXPECT_THROW((void)table.arrhenius(Celsius{-300.0}), core::InvalidArgument);
 }
 
-TEST(HazardTable, BatchKernelIsBitIdenticalToScalar) {
-    const HostHazardModel model;
-    constexpr std::size_t kSlots = 257;  // odd size: no vector-width luck
-    std::vector<double> intake(kSlots), humidity(kSlots), age(kSlots), cycling(kSlots);
-    std::vector<std::uint8_t> unreliable(kSlots);
-    for (std::size_t i = 0; i < kSlots; ++i) {
-        intake[i] = -35.0 + 80.0 * static_cast<double>(i) / kSlots;
-        humidity[i] = 25.0 + 75.0 * static_cast<double>((i * 29) % kSlots) / kSlots;
-        age[i] = 45000.0 * static_cast<double>((i * 7) % kSlots) / kSlots;
-        cycling[i] = 8.0 * static_cast<double>((i * 3) % kSlots) / kSlots;
-        unreliable[i] = (i % 5) == 0 ? 1 : 0;
-    }
-    const StressSoa soa{intake.data(), humidity.data(), age.data(), cycling.data(),
-                        unreliable.data()};
-    std::vector<double> batched(kSlots);
-    model.hazard_per_hour(soa, kSlots, batched.data());
-    for (std::size_t i = 0; i < kSlots; ++i) {
-        StressState s;
-        s.intake = Celsius{intake[i]};
-        s.humidity = RelHumidity{humidity[i]};
-        s.age_hours = age[i];
-        s.cycling_rate_k_per_h = cycling[i];
-        s.known_unreliable = unreliable[i] != 0;
-        // Bitwise identity, not tolerance: the two engines must agree.
-        EXPECT_EQ(batched[i], model.hazard_per_hour(s)) << "slot " << i;
-    }
-}
-
 }  // namespace
 }  // namespace zerodeg::faults
-
-namespace zerodeg::experiment {
-namespace {
-
-using core::TimePoint;
-
-/// A short season (3 days) keeps the differential test fast; engine parity
-/// is a per-tick property, not a season-length one.
-ExperimentConfig short_config(std::uint64_t seed, TickEngine engine) {
-    ExperimentConfig cfg;
-    cfg.master_seed = seed;
-    cfg.end = TimePoint::from_date(2010, 2, 22);
-    cfg.engine = engine;
-    cfg.load.corpus.total_bytes = 64 * 1024;
-    cfg.load.target_blocks = 20;
-    return cfg;
-}
-
-void expect_census_identical(const FaultCensus& a, const FaultCensus& b) {
-    EXPECT_EQ(a.tent_hosts, b.tent_hosts);
-    EXPECT_EQ(a.basement_hosts, b.basement_hosts);
-    EXPECT_EQ(a.tent_hosts_failed, b.tent_hosts_failed);
-    EXPECT_EQ(a.basement_hosts_failed, b.basement_hosts_failed);
-    EXPECT_EQ(a.system_failures, b.system_failures);
-    EXPECT_EQ(a.transient_failures, b.transient_failures);
-    EXPECT_EQ(a.permanent_failures, b.permanent_failures);
-    EXPECT_EQ(a.sensor_incidents, b.sensor_incidents);
-    EXPECT_EQ(a.switch_failures, b.switch_failures);
-    EXPECT_EQ(a.fan_faults, b.fan_faults);
-    EXPECT_EQ(a.disk_faults, b.disk_faults);
-    EXPECT_EQ(a.load_runs, b.load_runs);
-    EXPECT_EQ(a.wrong_hashes, b.wrong_hashes);
-    EXPECT_EQ(a.wrong_hashes_tent, b.wrong_hashes_tent);
-    EXPECT_EQ(a.wrong_hashes_basement, b.wrong_hashes_basement);
-    EXPECT_EQ(a.page_ops, b.page_ops);
-    EXPECT_EQ(a.page_ops_non_ecc, b.page_ops_non_ecc);
-}
-
-TEST(TickEngineParity, BatchedSeasonIsByteIdenticalToPerObject) {
-    ExperimentRunner per_object(short_config(918273, TickEngine::kPerObject));
-    per_object.run();
-    ExperimentRunner batched(short_config(918273, TickEngine::kBatched));
-    batched.run();
-
-    expect_census_identical(take_census(per_object), take_census(batched));
-
-    // The logs pin ordering, not just totals: a batched engine that
-    // reordered same-tick events would still pass the census comparison.
-    const auto& fa = per_object.fault_log().records();
-    const auto& fb = batched.fault_log().records();
-    ASSERT_EQ(fa.size(), fb.size());
-    for (std::size_t i = 0; i < fa.size(); ++i) {
-        SCOPED_TRACE("fault record " + std::to_string(i));
-        EXPECT_EQ(fa[i].time.seconds_since_epoch(), fb[i].time.seconds_since_epoch());
-        EXPECT_EQ(fa[i].host_id, fb[i].host_id);
-        EXPECT_EQ(fa[i].source, fb[i].source);
-        EXPECT_EQ(fa[i].component, fb[i].component);
-        EXPECT_EQ(fa[i].severity, fb[i].severity);
-        EXPECT_EQ(fa[i].description, fb[i].description);
-        EXPECT_EQ(fa[i].in_tent, fb[i].in_tent);
-    }
-
-    const auto& ea = per_object.event_log().entries();
-    const auto& eb = batched.event_log().entries();
-    ASSERT_EQ(ea.size(), eb.size());
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-        SCOPED_TRACE("event " + std::to_string(i));
-        EXPECT_EQ(ea[i].time.seconds_since_epoch(), eb[i].time.seconds_since_epoch());
-        EXPECT_EQ(ea[i].level, eb[i].level);
-        EXPECT_EQ(ea[i].source, eb[i].source);
-        EXPECT_EQ(ea[i].message, eb[i].message);
-    }
-}
-
-TEST(TickEngineParity, BatchedEngineIsJobsInvariant) {
-    CensusPlan plan;
-    plan.base_seed = 555000;
-    plan.seeds = 3;
-    plan.make_config = [](std::size_t, std::uint64_t seed) {
-        return short_config(seed, TickEngine::kBatched);
-    };
-    const CensusResult serial = ParallelCensus(plan, 1).run();
-    const CensusResult threaded = ParallelCensus(plan, 4).run();
-    ASSERT_EQ(serial.censuses.size(), threaded.censuses.size());
-    for (std::size_t i = 0; i < serial.censuses.size(); ++i) {
-        SCOPED_TRACE("seed index " + std::to_string(i));
-        expect_census_identical(serial.censuses[i], threaded.censuses[i]);
-    }
-}
-
-}  // namespace
-}  // namespace zerodeg::experiment

@@ -34,12 +34,11 @@ FaultCensus sample_census(std::uint64_t seed) {
 }
 
 TEST(ShardProtocol, HelloRoundTrips) {
-    const ShardHello hello{sample_key(), 3, 5};
+    const ShardHello hello{sample_key(), 3};
     const Frame frame = decode_frame(encode_hello(hello));
     ASSERT_EQ(frame.type, FrameType::kHello);
     EXPECT_EQ(frame.hello.key, sample_key());
-    EXPECT_EQ(frame.hello.shard, 3u);
-    EXPECT_EQ(frame.hello.of, 5u);
+    EXPECT_EQ(frame.hello.worker, 3u);
 }
 
 TEST(ShardProtocol, WelcomeRejectAckRoundTrip) {
@@ -127,7 +126,7 @@ TEST(ShardProtocol, AnySingleCharacterFlipIsCaughtForEveryFrameKind) {
     lease.deadline_ops = 128;
     lease.cells = {0, 2};
     const std::string frames[] = {
-        encode_hello(ShardHello{sample_key(), 1, 2}),
+        encode_hello(ShardHello{sample_key(), 1}),
         encode_welcome(3),
         encode_reject("campaign mismatch"),
         encode_cell(4, sample_census(99)),
@@ -171,13 +170,13 @@ TEST(ShardProtocol, HelloNamingAnImpossibleShardIsRejected) {
                       static_cast<unsigned long long>(core::fnv1a(payload)));
         return payload + ' ' + buf;
     };
-    // shard >= of is impossible for a static shard...
-    EXPECT_THROW((void)decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 5 5")),
+    // A hello with a second number after the worker label (a "<shard> <of>"
+    // static-shard claim) is refused, not misread as a label.
+    EXPECT_THROW((void)decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 0 2")),
                  core::CorruptData);
-    // ...but of == 0 is the lease-mode spelling (shard is just a label).
-    const Frame lease_mode = decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 0 0"));
-    ASSERT_EQ(lease_mode.type, FrameType::kHello);
-    EXPECT_EQ(lease_mode.hello.of, 0u);
+    const Frame hello = decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 7"));
+    ASSERT_EQ(hello.type, FrameType::kHello);
+    EXPECT_EQ(hello.hello.worker, 7u);
 }
 
 TEST(ShardProtocol, TamperedEmbeddedCellRecordIsCaughtByTheInnerChecksum) {

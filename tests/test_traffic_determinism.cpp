@@ -1,7 +1,6 @@
 // Determinism claims of the traffic workload: the request stream derives
-// from the master seed's named RNG streams alone, so (a) the per-object and
-// batched tick engines see byte-identical traffic, (b) sharding a traffic
-// census over any worker count is unobservable in the results, and (c) two
+// from the master seed's named RNG streams alone, so (a) sharding a traffic
+// census over any worker count is unobservable in the results, and (b) two
 // runs of the same season agree to the last bit, down to the rendered SLO
 // CSV.  Labelled `parallel` for the TSan gate and `traffic` so the workload
 // suites can be selected together.
@@ -23,16 +22,11 @@ using core::TimePoint;
 
 /// A short traffic season: five days over the six-host early fleet, with a
 /// flash crowd inside the window so the bursty path is exercised too.
-ExperimentConfig traffic_config(std::uint64_t seed, TickEngine engine,
-                                bool clone = false,
-                                workload::TrafficConfig::Mode mode =
-                                    workload::TrafficConfig::Mode::kOpen) {
+ExperimentConfig traffic_config(std::uint64_t seed, bool clone = false) {
     ExperimentConfig cfg;
     cfg.master_seed = seed;
     cfg.end = TimePoint::from_date(2010, 2, 24);
-    cfg.engine = engine;
     cfg.workload = WorkloadKind::kTraffic;
-    cfg.traffic.mode = mode;
     cfg.traffic.open.flash_crowds = {
         {TimePoint::from_civil({2010, 2, 20, 18, 0, 0}), Duration::hours(2), 3.0}};
     cfg.traffic.clone_across_split = clone;
@@ -73,40 +67,12 @@ SeasonResult run_season(const ExperimentConfig& cfg) {
     return r;
 }
 
-class TrafficEngineParity : public ::testing::TestWithParam<bool> {};
-
-TEST_P(TrafficEngineParity, BatchedSeasonMatchesPerObjectByteForByte) {
-    const bool clone = GetParam();
-    const SeasonResult a = run_season(traffic_config(5551212, TickEngine::kPerObject, clone));
-    const SeasonResult b = run_season(traffic_config(5551212, TickEngine::kBatched, clone));
-
-    ASSERT_GT(a.census.requests_completed, 0u);
+TEST(TrafficDeterminism, RepeatedSeasonsAgreeBitForBit) {
+    const SeasonResult a = run_season(traffic_config(31415, true));
+    const SeasonResult b = run_season(traffic_config(31415, true));
     expect_census_identical(a.census, b.census);
     EXPECT_EQ(a.requests_issued, b.requests_issued);
     EXPECT_EQ(a.clones_cancelled, b.clones_cancelled);
-    // Byte-identical CSV: every p50/p95/p99 and utilization of every tick.
-    EXPECT_EQ(a.slo_csv, b.slo_csv);
-}
-
-INSTANTIATE_TEST_SUITE_P(Clone, TrafficEngineParity, ::testing::Bool(),
-                         [](const auto& param_info) {
-                             return param_info.param ? "cloned" : "single";
-                         });
-
-TEST(TrafficEngineParity, ClosedLoopSeasonMatchesAcrossEngines) {
-    const auto mode = workload::TrafficConfig::Mode::kClosed;
-    const SeasonResult a =
-        run_season(traffic_config(777, TickEngine::kPerObject, false, mode));
-    const SeasonResult b = run_season(traffic_config(777, TickEngine::kBatched, false, mode));
-    ASSERT_GT(a.census.requests_completed, 0u);
-    expect_census_identical(a.census, b.census);
-    EXPECT_EQ(a.slo_csv, b.slo_csv);
-}
-
-TEST(TrafficDeterminism, RepeatedSeasonsAgreeBitForBit) {
-    const SeasonResult a = run_season(traffic_config(31415, TickEngine::kBatched, true));
-    const SeasonResult b = run_season(traffic_config(31415, TickEngine::kBatched, true));
-    expect_census_identical(a.census, b.census);
     EXPECT_EQ(a.slo_csv, b.slo_csv);
 }
 
@@ -120,7 +86,7 @@ CensusPlan traffic_plan() {
     plan.base_seed = kBaseSeed;
     plan.seeds = kSeeds;
     plan.make_config = [](std::size_t /*index*/, std::uint64_t seed) {
-        return traffic_config(seed, TickEngine::kBatched);
+        return traffic_config(seed);
     };
     return plan;
 }
@@ -129,7 +95,7 @@ const CensusResult& serial_reference() {
     static const CensusResult reference = [] {
         CensusResult r;
         for (std::size_t i = 0; i < kSeeds; ++i) {
-            ExperimentConfig cfg = traffic_config(kBaseSeed + i, TickEngine::kBatched);
+            ExperimentConfig cfg = traffic_config(kBaseSeed + i);
             ExperimentRunner run(cfg);
             run.run();
             r.censuses.push_back(take_census(run));

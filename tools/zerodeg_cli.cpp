@@ -30,26 +30,23 @@
 //   zerodeg sweep     --coordinator --socket PATH --checkpoint FILE
 //                     [--seeds N] [--resume] [--idle-timeout-ms N]
 //                     [--spawn-workers N] [...]
-//   zerodeg sweep     --worker [I/K] --socket PATH --checkpoint FILE
+//   zerodeg sweep     --worker --socket PATH --checkpoint FILE
 //                     [--seeds N] [--jobs N] [--net-faults SEED] [...]
 //       Distributed census: the coordinator listens on a unix socket,
 //       grants pull-based leases over cell ranges, and journals cells
-//       streamed by worker processes into the merged --checkpoint.  A bare
-//       --worker runs in lease mode: it asks for work, simulates granted
-//       cells into its own local --checkpoint (durable before any
-//       networking), streams checksummed CELL frames, and resends until
-//       acked.  `--worker I/K` is the compatibility spelling: the static
-//       `index % K == I` shard is pre-simulated durably first, then the
-//       worker follows the same lease flow (offline it degrades to
-//       buffering the shard locally).  Delivery is at-least-once with
-//       dedupe by cell index, and a dead worker's lease is reassigned to
-//       survivors, so the merged journal — and the census the coordinator
-//       prints — is byte-identical to a local `zerodeg census` run no
-//       matter which process died when, as long as one worker survives.
-//       A cell that kills every worker that touches it is quarantined as
-//       poison and reported loudly (coordinator exits 1).
-//       --spawn-workers N launches N local lease-mode workers as child
-//       processes sharing the campaign flags and waits for them.
+//       streamed by worker processes into the merged --checkpoint.  A
+//       worker asks for work, simulates granted cells into its own local
+//       --checkpoint (durable before any networking), streams checksummed
+//       CELL frames, and resends until acked; cells already in its local
+//       journal stream first, without re-simulating.  Delivery is
+//       at-least-once with dedupe by cell index, and a dead worker's lease
+//       is reassigned to survivors, so the merged journal — and the census
+//       the coordinator prints — is byte-identical to a local `zerodeg
+//       census` run no matter which process died when, as long as one
+//       worker survives.  A cell that kills every worker that touches it is
+//       quarantined as poison and reported loudly (coordinator exits 1).
+//       --spawn-workers N launches N local workers as child processes
+//       sharing the campaign flags and waits for them.
 //       --net-faults injects a deterministic seed-scheduled fault plan
 //       (drops, duplicates, reorders, dropped acks) into the worker's link.
 //       --synthetic swaps real seasons for fast deterministic cells.
@@ -97,8 +94,8 @@ using namespace zerodeg;
 using FlagMap = std::map<std::string, std::string>;
 
 /// Flags that take no value.
-const std::set<std::string> kBooleanFlags = {"full-year", "resume",      "torture",
-                                             "clone",     "coordinator", "synthetic"};
+const std::set<std::string> kBooleanFlags = {"full-year",   "resume", "torture",  "clone",
+                                             "coordinator", "worker", "synthetic"};
 
 /// Flags each subcommand accepts; anything else is a usage error.
 const std::map<std::string, std::set<std::string>> kAllowedFlags = {
@@ -107,11 +104,11 @@ const std::map<std::string, std::set<std::string>> kAllowedFlags = {
      {"seed", "end", "trace", "export", "jobs", "checkpoint", "resume", "collector-retries",
       "collector-buffer", "inject-faults", "workload", "clone"}},
     {"census",
-     {"seeds", "jobs", "checkpoint", "resume", "inject-faults", "torture", "engine", "workload",
-      "end", "synthetic"}},
+     {"seeds", "jobs", "checkpoint", "resume", "inject-faults", "torture", "workload", "end",
+      "synthetic"}},
     {"sweep",
-     {"coordinator", "worker", "socket", "checkpoint", "seeds", "jobs", "engine", "workload",
-      "end", "resume", "net-faults", "synthetic", "idle-timeout-ms", "spawn-workers"}},
+     {"coordinator", "worker", "socket", "checkpoint", "seeds", "jobs", "workload", "end",
+      "resume", "net-faults", "synthetic", "idle-timeout-ms", "spawn-workers"}},
     {"prototype", {"seed"}},
 };
 
@@ -129,17 +126,16 @@ FlagMap parse_flags(const std::string& cmd, int argc, char** argv, int first) {
         if (!allowed.contains(key)) {
             throw core::InvalidArgument("--" + key + " is not a flag of 'zerodeg " + cmd + "'");
         }
+        if (key == "worker" && i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+            throw core::InvalidArgument("--worker takes no value, got '" +
+                                        std::string(argv[i + 1]) +
+                                        "' (static I/K shards are gone; run bare --worker "
+                                        "processes, which pull leases)");
+        }
         if (kBooleanFlags.contains(key)) {
             // insert_or_assign instead of operator[]=: gcc 12's -Wrestrict
             // false-positives on the inlined char* assignment.
             flags.insert_or_assign(key, std::string("1"));
-            continue;
-        }
-        // --worker's value is optional: bare `--worker` is lease mode, the
-        // I/K value is the static-shard compatibility spelling.
-        if (key == "worker" &&
-            (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0)) {
-            flags.insert_or_assign(key, std::string());
             continue;
         }
         if (i + 1 >= argc) {
@@ -363,39 +359,23 @@ int cmd_season(const FlagMap& flags) {
     return 0;
 }
 
-/// The campaign axes `census` and `sweep` share: --seeds, --engine,
-/// --workload, --end (plus sweep's --synthetic fast cells).  Both commands
-/// building the plan the same way is what gives the coordinator's merged
-/// journal the same campaign key a local census would use, so checkpoints
-/// move freely between local and distributed runs.
+/// The campaign axes `census` and `sweep` share: --seeds, --workload, --end,
+/// --synthetic.  Both commands building the plan the same way is what gives
+/// the coordinator's merged journal the same campaign key a local census
+/// would use, so checkpoints move freely between local and distributed runs.
 experiment::CensusPlan census_plan_from_flags(const FlagMap& flags) {
     const std::uint64_t seeds = flag_u64(flags, "seeds", 10);
     if (seeds == 0) throw core::InvalidArgument("--seeds must be positive");
     experiment::CensusPlan plan;
     plan.seeds = static_cast<std::size_t>(seeds);
-    // --engine selects the host-loop implementation; both produce
-    // byte-identical output (the per-object path is the differential
-    // reference), and the choice is invisible to checkpoint journals.
     // --workload/--end reshape every cell's season the same way.
-    std::optional<experiment::TickEngine> engine;
-    if (flags.count("engine")) {
-        const std::string& v = flags.at("engine");
-        if (v == "batched") {
-            engine = experiment::TickEngine::kBatched;
-        } else if (v == "per-object") {
-            engine = experiment::TickEngine::kPerObject;
-        } else {
-            throw core::InvalidArgument("--engine must be 'batched' or 'per-object'");
-        }
-    }
     const experiment::WorkloadKind workload = parse_workload(flags);
     std::optional<core::TimePoint> end;
     if (flags.count("end")) end = parse_date(flags.at("end"));
-    if (engine || workload != experiment::WorkloadKind::kArchive || end) {
-        plan.make_config = [engine, workload, end](std::size_t, std::uint64_t seed) {
+    if (workload != experiment::WorkloadKind::kArchive || end) {
+        plan.make_config = [workload, end](std::size_t, std::uint64_t seed) {
             experiment::ExperimentConfig config;
             config.master_seed = seed;
-            if (engine) config.engine = *engine;
             config.workload = workload;
             if (end) config.end = *end;
             return config;
@@ -454,37 +434,14 @@ int cmd_census(const FlagMap& flags) {
     return 0;
 }
 
-/// Bare "--worker" -> lease mode (ShardSpec{0, 0}); "--worker I/K" ->
-/// the static shard ShardSpec{I, K}.  Validated here so a bad spec is a
-/// usage error (exit 2), not a runtime failure.
-experiment::ShardSpec parse_shard(const std::string& value) {
-    if (value.empty()) return experiment::ShardSpec{0, 0};
-    const std::size_t slash = value.find('/');
-    if (slash == std::string::npos) {
-        throw core::InvalidArgument("--worker wants I/K (e.g. 0/2) or no value for lease mode, "
-                                    "got '" + value + "'");
-    }
-    experiment::ShardSpec spec;
-    try {
-        spec.shard = static_cast<std::size_t>(core::parse_csv_u64(value.substr(0, slash)));
-        spec.of = static_cast<std::size_t>(core::parse_csv_u64(value.substr(slash + 1)));
-    } catch (const core::Error&) {
-        throw core::InvalidArgument("--worker wants I/K (e.g. 0/2), got '" + value + "'");
-    }
-    if (spec.of == 0 || spec.shard >= spec.of) {
-        throw core::InvalidArgument("--worker " + value + " is not a valid shard (need I < K)");
-    }
-    return spec;
-}
-
-/// The argv for one spawned lease-mode worker: the campaign flags are
+/// The argv for one spawned worker: the campaign flags are
 /// forwarded verbatim so its journal key matches the coordinator's.
 std::vector<std::string> spawned_worker_argv(const FlagMap& flags, std::size_t index) {
     std::vector<std::string> argv = {"/proc/self/exe", "sweep", "--worker", "--socket",
                                      flags.at("socket"), "--checkpoint",
                                      flags.at("checkpoint") + ".worker" + std::to_string(index)};
     for (const char* forwarded :
-         {"seeds", "jobs", "engine", "workload", "end", "net-faults"}) {
+         {"seeds", "jobs", "workload", "end", "net-faults"}) {
         const auto it = flags.find(forwarded);
         if (it == flags.end()) continue;
         argv.push_back("--" + it->first);
@@ -512,7 +469,7 @@ int cmd_sweep_coordinator(const FlagMap& flags, const experiment::CensusPlan& pl
     std::cout << "coordinator: campaign of " << plan.seeds << " cells on " << flags.at("socket")
               << " (" << service.merged() << " already merged)\n";
 
-    // --spawn-workers: launch N local lease-mode workers (via the transport
+    // --spawn-workers: launch N local workers (via the transport
     // seam's process spawner) once the socket is listening, serve them, then
     // reap.  Each gets its own local journal next to the merged one.
     std::vector<core::SpawnedProcess> children;
@@ -561,7 +518,6 @@ int cmd_sweep_coordinator(const FlagMap& flags, const experiment::CensusPlan& pl
 }
 
 int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
-    const experiment::ShardSpec spec = parse_shard(flags.at("worker"));
     const std::string socket = flags.at("socket");
 
     // Bounded connect-wait: the coordinator may not be listening yet (shell
@@ -594,30 +550,22 @@ int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
         faults.dup_rate = 0.1;
         faults.reorder_rate = 0.05;
         faults.ack_drop_rate = 0.05;
-        link = std::make_unique<core::FaultyTransport>(
-            faults, "worker." + std::to_string(spec.shard), std::move(link));
+        link = std::make_unique<core::FaultyTransport>(faults, "worker.0", std::move(link));
         opts.retry.max_attempts = 8;  // lossy link: a deeper resend budget
     }
 
     const experiment::WorkerReport report =
-        run_worker(plan, spec, flags.at("checkpoint"), std::move(link), opts);
-    if (report.of == 0) {
-        std::cout << "worker (lease mode): " << report.leases_held << " lease(s) held, "
-                  << report.cells_computed << " simulated, " << report.cells_reused
-                  << " reused, " << report.acked << " acked";
-    } else {
-        std::cout << "worker " << report.shard << "/" << report.of << ": " << report.cells_owned
-                  << " cells owned, " << report.cells_computed << " simulated, "
-                  << report.cells_reused << " reused, " << report.acked << " acked";
-    }
+        run_worker(plan, 0, flags.at("checkpoint"), std::move(link), opts);
+    std::cout << "worker (lease mode): " << report.leases_held << " lease(s) held, "
+              << report.cells_computed << " simulated, " << report.cells_reused << " reused, "
+              << report.acked << " acked";
     if (report.resends + report.drops_absorbed > 0) {
         std::cout << " (" << report.drops_absorbed << " drop(s), " << report.resends
                   << " resend(s))";
     }
     std::cout << '\n';
     if (report.degraded) {
-        std::cout << "worker " << report.shard << "/" << report.of
-                  << ": degraded — coordinator unreachable; " << report.buffered
+        std::cout << "worker: degraded — coordinator unreachable; " << report.buffered
                   << " cell(s) buffered in " << flags.at("checkpoint")
                   << " (re-run to stream them)\n";
     }
@@ -629,7 +577,7 @@ int cmd_sweep(const FlagMap& flags) {
     const bool worker = flags.count("worker") > 0;
     if (coordinator == worker) {
         throw core::InvalidArgument(
-            "zerodeg sweep needs exactly one of --coordinator or --worker [I/K]");
+            "zerodeg sweep needs exactly one of --coordinator or --worker");
     }
     if (flags.count("spawn-workers") && !coordinator) {
         throw core::InvalidArgument("--spawn-workers belongs to the --coordinator side");
@@ -670,18 +618,15 @@ void synopsis(std::ostream& out) {
            "            [--collector-buffer BYTES] [--inject-faults SEED]\n"
            "            [--workload archive|traffic] [--clone]\n"
            "  census    [--seeds N] [--jobs N] [--checkpoint FILE] [--resume]\n"
-           "            [--inject-faults SEED] [--torture] [--engine batched|per-object]\n"
+           "            [--inject-faults SEED] [--torture]\n"
            "            [--workload archive|traffic] [--end D] [--synthetic]\n"
-           "            (--jobs 0 = all hardware threads; engines are byte-identical,\n"
-           "             per-object is the differential-test reference)\n"
+           "            (--jobs 0 = all hardware threads)\n"
            "  sweep     --coordinator --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--resume] [--idle-timeout-ms N] [--spawn-workers N]\n"
-           "  sweep     --worker [I/K] --socket PATH --checkpoint FILE [--seeds N]\n"
+           "  sweep     --worker --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--jobs N] [--net-faults SEED]\n"
-           "            (bare --worker pulls leases; I/K is the static-shard\n"
-           "             compatibility spelling)\n"
-           "            (both sweep modes: [--engine batched|per-object]\n"
-           "             [--workload archive|traffic] [--end D] [--synthetic])\n"
+           "            (both sweep modes: [--workload archive|traffic] [--end D]\n"
+           "             [--synthetic])\n"
            "  prototype [--seed N]\n"
            "exit codes: 0 ok, 1 runtime failure, 2 usage error\n";
 }
@@ -715,10 +660,9 @@ int cmd_help() {
            "  when — a dead worker's lease is reassigned to the survivors\n"
            "  (liveness is counted in protocol ops, never wall clocks).  A cell\n"
            "  that kills every worker that touches it is quarantined as poison\n"
-           "  and the coordinator exits 1, loudly.  `--worker I/K` keeps the old\n"
-           "  static shard: it is pre-simulated durably, then the worker joins\n"
-           "  the same lease flow; offline it degrades to local buffering and a\n"
-           "  re-run streams the buffered cells without re-simulating.\n"
+           "  and the coordinator exits 1, loudly.  A worker re-run over the same\n"
+           "  local --checkpoint streams the cells it already holds without\n"
+           "  re-simulating them.\n"
            "  --net-faults SEED makes the worker's link deterministically lossy\n"
            "  (drops, duplicates, reorders, dropped acks) — the output must not\n"
            "  change.\n"

@@ -18,8 +18,8 @@
 //      stall fault; the core::Watchdog must cancel it, the CellRetry budget
 //      must absorb the retry, and the campaign must still produce the
 //      reference output while reporting the hung nodes.
-//   4. Distributed torture: shard the campaign across --workers worker
-//      processes streaming cells to a coordinator over faulty transports;
+//   4. Distributed torture: --workers lease-pulling workers stream cells
+//      to a coordinator over faulty transports;
 //      kill each worker at every send point and the coordinator at every
 //      frame (every crash phase), resume, and require the merged journal
 //      and rendered census byte-identical to an uninterrupted local run.
@@ -264,7 +264,7 @@ int usage() {
                  "                       [--skip-export] [--skip-watchdog]\n"
                  "                       [--skip-distributed] [--verbose]\n"
                  "  --jobs N    torture only that worker count (default: both 1 and 8)\n"
-                 "  --workers N shards of the distributed scenario (default: 2)\n"
+                 "  --workers N workers in the distributed scenario (default: 2)\n"
                  "  --cells     trivial = fast synthetic cells (default); season = real\n"
                  "              one-week seasons through the full simulation stack\n"
                  "exit codes: 0 all scenarios passed, 1 torture failure, 2 usage error\n";
