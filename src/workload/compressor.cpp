@@ -436,6 +436,10 @@ std::vector<BlockInfo> frost_block_directory(std::span<const std::uint8_t> conta
 
 std::vector<std::uint8_t> frost_decode_block(std::span<const std::uint8_t> container,
                                              const BlockInfo& info) {
+    // A damaged header can claim more payload than the container holds.
+    if (info.offset + 17 + std::size_t{info.comp_size} > container.size()) {
+        throw core::CorruptData("frost: block runs past the container");
+    }
     const auto payload = container.subspan(info.offset + 17, info.comp_size);
     std::vector<std::uint8_t> block;
     if (info.method == 0) {

@@ -49,7 +49,8 @@ struct BlockInfo {
 [[nodiscard]] std::vector<BlockInfo> frost_block_directory(
     std::span<const std::uint8_t> container);
 
-/// Decode and CRC-check one block (throws CorruptData if it is damaged).
+/// Decode and CRC-check one block (throws CorruptData if it is damaged or
+/// `info` claims bytes past the end of `container`).
 /// This is the primitive the recovery utility is built on.
 [[nodiscard]] std::vector<std::uint8_t> frost_decode_block(
     std::span<const std::uint8_t> container, const BlockInfo& info);

@@ -1,5 +1,6 @@
 #include "workload/recover.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/error.hpp"
@@ -42,10 +43,37 @@ std::vector<BlockInfo> rescan_for_blocks(std::span<const std::uint8_t> container
     return dir;
 }
 
+/// Block offsets of a pristine reference; none when there is no reference.
+std::vector<std::size_t> reference_offsets(std::span<const std::uint8_t> reference) {
+    std::vector<std::size_t> offsets;
+    if (reference.empty()) return offsets;
+    try {
+        for (const BlockInfo& info : frost_block_directory(reference)) {
+            offsets.push_back(info.offset);
+        }
+    } catch (const core::CorruptData&) {
+        // Not a container: nothing to reuse.
+    }
+    return offsets;
+}
+
+/// True when the block's header and payload equal a reference block's at the
+/// same offset.  The container side is in bounds by construction of the
+/// directory; the reference side is checked before the compare.
+bool matches_reference(std::span<const std::uint8_t> container, const BlockInfo& info,
+                       std::span<const std::uint8_t> reference,
+                       const std::vector<std::size_t>& offsets) {
+    const std::size_t len = 17 + std::size_t{info.comp_size};
+    return std::binary_search(offsets.begin(), offsets.end(), info.offset) &&
+           info.offset + len <= reference.size() &&
+           std::memcmp(container.data() + info.offset, reference.data() + info.offset, len) == 0;
+}
+
 }  // namespace
 
 RecoveryReport frost_recover(std::span<const std::uint8_t> container,
-                             std::vector<std::uint8_t>* salvaged) {
+                             std::vector<std::uint8_t>* salvaged,
+                             std::span<const std::uint8_t> reference) {
     RecoveryReport report;
     std::vector<BlockInfo> dir;
     try {
@@ -55,8 +83,14 @@ RecoveryReport frost_recover(std::span<const std::uint8_t> container,
         dir = rescan_for_blocks(container);
     }
     report.total_blocks = dir.size();
+    const std::vector<std::size_t> ref_offsets =
+        salvaged == nullptr ? reference_offsets(reference) : std::vector<std::size_t>{};
 
     for (std::size_t i = 0; i < dir.size(); ++i) {
+        if (matches_reference(container, dir[i], reference, ref_offsets)) {
+            report.salvaged_bytes += dir[i].orig_size;
+            continue;
+        }
         try {
             const std::vector<std::uint8_t> block = frost_decode_block(container, dir[i]);
             report.salvaged_bytes += block.size();

@@ -30,7 +30,16 @@ struct RecoveryReport {
 
 /// Analyze a (possibly damaged) container.  Never throws on corrupt input —
 /// damage is the expected case here.
+///
+/// `reference`, when given, must be a pristine container (one that
+/// frost_decompress accepts), typically the undamaged original.  A block
+/// whose header and payload are byte-identical to a reference block at the
+/// same offset would decode to that reference block, so it is counted
+/// intact without being decoded; every other block is decoded for real.
+/// The report is the same as without `reference`.  When `salvaged` is
+/// requested every block is decoded.
 [[nodiscard]] RecoveryReport frost_recover(std::span<const std::uint8_t> container,
-                                           std::vector<std::uint8_t>* salvaged = nullptr);
+                                           std::vector<std::uint8_t>* salvaged = nullptr,
+                                           std::span<const std::uint8_t> reference = {});
 
 }  // namespace zerodeg::workload

@@ -248,6 +248,20 @@ TEST(Frost, TruncationDetected) {
     EXPECT_THROW((void)frost_block_directory(packed), core::CorruptData);
 }
 
+TEST(Frost, DecodeBlockRejectsPayloadPastContainer) {
+    // A damaged header can claim more payload than the container holds; the
+    // decoder must refuse it rather than read past the buffer.  The copy has
+    // exactly the container's capacity, so an overread leaves the allocation.
+    const auto packed = frost_compress(sample_data(32 * 1024));
+    const std::vector<std::uint8_t> exact(packed.begin(), packed.end());
+    BlockInfo info = frost_block_directory(exact).back();
+    info.comp_size += 64;
+    for (const int method : {0, 1}) {
+        info.method = static_cast<std::uint8_t>(method);
+        EXPECT_THROW((void)frost_decode_block(exact, info), core::CorruptData) << method;
+    }
+}
+
 TEST(Frost, DeterministicOutput) {
     const auto data = sample_data(32 * 1024);
     EXPECT_EQ(frost_compress(data), frost_compress(data));

@@ -87,6 +87,44 @@ TEST(LoadJob, CorruptingFlipIsDetectedAndAnalyzed) {
     }
 }
 
+TEST(LoadJob, CachedRunsEqualUncachedRuns) {
+    // The cached path reuses the reference for the clean prefix of the hash
+    // and for intact blocks; the uncached path recompresses, hashes and
+    // decodes every byte.  Run for run they must report the same thing.
+    LoadJobConfig uncached_cfg = small_config();
+    uncached_cfg.cache_clean_runs = false;
+    LoadJob cached(small_config(), 2010);
+    LoadJob uncached(uncached_cfg, 2010);
+
+    faults::MemoryFaultParams p;
+    p.flip_probability_per_page_op = 1.5 / static_cast<double>(cached.page_ops_per_run());
+    p.multi_bit_fraction = 0.3;
+    faults::MemoryFaultModel mem_a(p, core::RngStream(7, "mem"));
+    faults::MemoryFaultModel mem_b(p, core::RngStream(7, "mem"));
+
+    int wrong_hashes = 0;
+    for (int i = 0; i < 240; ++i) {
+        const bool ecc = i % 3 == 0;
+        const JobResult a = cached.run(mem_a, ecc);
+        const JobResult b = uncached.run(mem_b, ecc);
+        ASSERT_EQ(a.digest, b.digest) << i;
+        EXPECT_EQ(a.hash_ok, b.hash_ok) << i;
+        EXPECT_EQ(a.page_ops, b.page_ops) << i;
+        EXPECT_EQ(a.raw_flips, b.raw_flips) << i;
+        EXPECT_EQ(a.corrected_flips, b.corrected_flips) << i;
+        ASSERT_EQ(a.forensics.has_value(), b.forensics.has_value()) << i;
+        if (!a.forensics) continue;
+        ++wrong_hashes;
+        EXPECT_EQ(a.forensics->total_blocks, b.forensics->total_blocks) << i;
+        EXPECT_EQ(a.forensics->corrupt_blocks, b.forensics->corrupt_blocks) << i;
+        EXPECT_EQ(a.forensics->salvaged_bytes, b.forensics->salvaged_bytes) << i;
+        EXPECT_EQ(a.forensics->lost_bytes, b.forensics->lost_bytes) << i;
+        EXPECT_EQ(a.forensics->directory_damaged, b.forensics->directory_damaged) << i;
+    }
+    // The comparison must have covered plenty of faulty runs.
+    EXPECT_GT(wrong_hashes, 100);
+}
+
 TEST(LoadJob, EccHostAbsorbsSingleBitFlips) {
     LoadJobConfig cfg = small_config();
     LoadJob job(cfg, 2010);

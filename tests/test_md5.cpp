@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/error.hpp"
 
 namespace zerodeg::workload {
@@ -68,6 +70,27 @@ TEST(Md5Test, BlockBoundaryLengths) {
         h2.update(a.substr(0, len / 2));
         h2.update(a.substr(len / 2));
         EXPECT_EQ(to_hex(h1.finalize()), to_hex(h2.finalize())) << len;
+    }
+}
+
+TEST(Md5Test, ResumeFromCopiedState) {
+    // A copy of the hash state after k bytes, fed the rest, is the one-shot
+    // digest: the checkpoint resume LoadJob relies on.
+    std::vector<std::uint8_t> data(200'000);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+    }
+    const std::span<const std::uint8_t> all(data);
+    const Md5Digest expected = md5(all);
+    const std::size_t len = data.size();
+    for (const std::size_t k :
+         {std::size_t{0}, std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+          std::size_t{65535}, std::size_t{65536}, std::size_t{65537}, len - 1, len}) {
+        Md5 prefix;
+        prefix.update(all.first(k));
+        Md5 resumed = prefix;
+        resumed.update(all.subspan(k));
+        EXPECT_EQ(to_hex(resumed.finalize()), to_hex(expected)) << k;
     }
 }
 
