@@ -25,15 +25,16 @@
 #   5. a compose smoke: sanitizers + -Werror configured together must build
 #      (sanitizer instrumentation must not be broken by the warning gate)
 #   6. clang-tidy over the exported compile database, when clang-tidy exists
-#   7. the perf gate: bench_perf_tick in a Release tree (build-bench/) with
-#      fixed seeds/repeats, compared against BENCH_baseline.json by
-#      scripts/compare_bench.py — any metric >25% below baseline fails; a
-#      missing baseline is recorded on the first run
+#   7. the perf gate: scripts/bench_ab.py runs zdbench (BENCHMARK.json) on
+#      this tree and on its parent — HEAD when the tree has uncommitted
+#      changes, else HEAD~1 — in alternating pairs on this machine, and fails
+#      when a run fails or an end-to-end median is worse than the parent's
+#      by more than that metric's BENCHMARK.json bound
 #
 # This is the sanitizer matrix PRs 1-2 documented as manual steps, made
 # executable.  Every build tree is separate (build/, build-tsan/, build-asan/,
-# build-asan-werror/, build-bench/) so switching configurations never causes a full rebuild
-# of another.
+# build-asan-werror/, and zdbench's .bench_build/) so switching configurations
+# never causes a full rebuild of another.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -142,10 +143,11 @@ else
     echo "clang-tidy not installed; skipping (config: .clang-tidy)" >&2
 fi
 
-echo "=== [7/7] perf gate: bench_perf_tick vs BENCH_baseline.json ===" >&2
-run cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-run cmake --build build-bench -j "$JOBS" --target bench_perf_tick
-run ./build-bench/bench/bench_perf_tick --seeds 4 --repeat 3 --jobs 1 --out build-bench/BENCH_tick.json
-run python3 scripts/compare_bench.py build-bench/BENCH_tick.json BENCH_baseline.json
+echo "=== [7/7] perf gate: zdbench A/B against the parent ===" >&2
+# The parent of the change under test: uncommitted work is compared with
+# HEAD, a committed change with HEAD~1.
+base=HEAD~1
+if [ -n "$(git status --porcelain)" ]; then base=HEAD; fi
+run python3 scripts/bench_ab.py "$base"
 
 echo "check.sh: all gates passed" >&2

@@ -25,31 +25,12 @@ namespace zerodeg::experiment {
 
 namespace fs = std::filesystem;
 
-ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index) {
-    // Mirrors ParallelCensus::build_configs for a single cell: same seed
-    // derivation, same per-cell validation context.  Keeping these in step is
-    // what lets a worker's journal carry the full-campaign key.
-    const std::uint64_t seed = plan.base_seed + index;
-    ExperimentConfig cfg;
-    if (plan.make_config) {
-        cfg = plan.make_config(index, seed);
-    } else {
-        cfg.master_seed = seed;
-    }
-    core::with_context("census cell " + std::to_string(index), [&] { validate(cfg); });
-    return cfg;
-}
-
-FaultCensus run_cell(const CensusPlan& plan, const ExperimentConfig& config) {
-    return plan.run_cell ? plan.run_cell(config) : run_season_census(config);
-}
-
 namespace {
 
-/// Per-frame resend budget from the retry policy (>= 1 try always).
-int frame_attempts(const monitoring::CollectorRetryPolicy& retry) {
-    return retry.max_attempts < 1 ? 1 : retry.max_attempts;
-}
+/// Bounded tries for each coordinator reply frame swallowed as
+/// TransientError by a faulty link before the reply is abandoned (the
+/// worker's own resend or re-pull covers the loss).
+constexpr int kReplyAttempts = 4;
 
 }  // namespace
 
@@ -144,7 +125,8 @@ WorkerReport run_worker(const CensusPlan& plan, std::size_t worker,
     // Simulate the missing cells of a lease into the local journal, each
     // durable before it is ever streamed.  The worker checks in around the
     // work: serial simulation heartbeats before and reports progress after
-    // every cell; a jobs>1 fan-out brackets the whole batch instead.
+    // every cell; a jobs>1 fan-out brackets the whole batch instead.  Either
+    // way a cell throwing TransientError gets plan.cell_attempts tries.
     const auto simulate_cells = [&](const std::vector<std::size_t>& cells,
                                     std::uint64_t lease_id) {
         std::vector<std::size_t> missing;
@@ -171,14 +153,15 @@ WorkerReport run_worker(const CensusPlan& plan, std::size_t worker,
                 core::CellRetry{plan.cell_attempts});
             (void)soft_send(encode_progress(lease_id, missing.size(), missing.size()));
         } else {
-            std::size_t finished = 0;
-            for (const std::size_t idx : missing) {
-                send_heartbeat(lease_id);
-                const FaultCensus census = run_cell(plan, cell_config(plan, idx));
-                journal.record(idx, census);
-                ++finished;
-                (void)soft_send(encode_progress(lease_id, finished, missing.size()));
-            }
+            core::serial_for(
+                0, missing.size(),
+                [&](std::size_t k) {
+                    const std::size_t idx = missing[k];
+                    send_heartbeat(lease_id);
+                    journal.record(idx, run_cell(plan, cell_config(plan, idx)));
+                    (void)soft_send(encode_progress(lease_id, k + 1, missing.size()));
+                },
+                core::CellRetry{plan.cell_attempts});
         }
     };
 
@@ -189,7 +172,7 @@ WorkerReport run_worker(const CensusPlan& plan, std::size_t worker,
         const FaultCensus* census = journal.find(idx);
         if (census == nullptr) return;
         const std::string frame = encode_cell(idx, *census);
-        for (int attempt = 1; attempt <= frame_attempts(opts.retry); ++attempt) {
+        for (int attempt = 1; attempt <= std::max(opts.frame_attempts, 1); ++attempt) {
             if (done || acked.count(idx) != 0) return;
             bool sent = true;
             try {
@@ -223,7 +206,7 @@ WorkerReport run_worker(const CensusPlan& plan, std::size_t worker,
     const std::string hello = encode_hello(ShardHello{key, worker});
     const auto handshake = [&]() -> bool {
         welcomed = false;
-        const int attempts = std::max(frame_attempts(opts.retry), 4);
+        const int attempts = std::max(opts.frame_attempts, 4);
         for (int attempt = 0; attempt < attempts; ++attempt) {
             if (!soft_send(hello)) continue;
             if (pump(opts.ack_timeout_ms, [&] { return welcomed || done; })) {
@@ -440,12 +423,10 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
                                    std::to_string(static_cast<int>(phase)) + ")");
     };
 
-    // Bounded reply: a faulty link may swallow sends as TransientError — the
-    // worker's resend / re-pull covers an abandoned reply.  TransportClosed
-    // propagates.
+    // Bounded reply: abandoned after kReplyAttempts swallowed sends.
+    // TransportClosed propagates.
     const auto reply = [&](core::Transport& link, const std::string& frame) -> bool {
-        const int attempts = im.opts.reply_attempts < 1 ? 1 : im.opts.reply_attempts;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
+        for (int attempt = 0; attempt < kReplyAttempts; ++attempt) {
             try {
                 link.send(frame);
                 return true;
@@ -766,7 +747,7 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
         WorkerOptions wopts;
         wopts.jobs = opts.worker_jobs;
         wopts.resume = resume;
-        wopts.retry = opts.retry;
+        wopts.frame_attempts = opts.frame_attempts;
         wopts.ack_timeout_ms = opts.ack_timeout_ms;
         wopts.fs = opts.fs;
         wopts.reconnect = [&listener]() -> std::unique_ptr<core::Transport> {

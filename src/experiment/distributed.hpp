@@ -41,7 +41,6 @@
 
 #include "core/transport.hpp"
 #include "experiment/parallel_census.hpp"
-#include "monitoring/retry_policy.hpp"
 
 namespace zerodeg::core {
 class FileSystem;
@@ -53,24 +52,16 @@ namespace zerodeg::experiment {
 /// poison: quarantined, reported, never granted again.
 inline constexpr std::size_t kMaxLeaseAttempts = 3;
 
-/// The config of a single campaign cell, exactly as ParallelCensus would
-/// build it (same seed derivation, same per-cell validation context).
-[[nodiscard]] ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index);
-
-/// One cell's unit of work: plan.run_cell if set, else run_season_census.
-[[nodiscard]] FaultCensus run_cell(const CensusPlan& plan, const ExperimentConfig& config);
-
 struct WorkerOptions {
     std::size_t jobs = 1;  ///< fan-out for simulating a lease's cells
     bool resume = true;    ///< reuse cells already in the local journal
-    /// Frame resend budget: a CELL frame gets max_attempts tries (sends
+    /// Frame resend budget: a CELL frame gets this many tries (sends
     /// swallowed by the link or left unacked past the ack timeout count as
-    /// failed attempts).  The backoff fields are not waited out in wall time
-    /// — the ack timeout itself is the pacing — but max_attempts is honoured
-    /// exactly.  Note a cell undelivered within one lease is not lost: the
-    /// coordinator re-grants the lease on the worker's next pull, so even a
-    /// zero-retry policy converges while the link stays alive.
-    monitoring::CollectorRetryPolicy retry{.max_attempts = 4};
+    /// failed attempts; the ack timeout is the pacing).  Note a cell
+    /// undelivered within one lease is not lost: the coordinator re-grants
+    /// the lease on the worker's next pull, so even a single try converges
+    /// while the link stays alive.
+    int frame_attempts = 4;
     /// How long to wait for an ack (or the next lease) before charging a
     /// resend attempt / sending the next pull.  -1 would block forever; keep
     /// it finite so lost frames are survivable.
@@ -138,10 +129,6 @@ struct CoordinatorOptions {
     /// the budget: a slow-simulating but heartbeating worker keeps the
     /// coordinator alive (corrupt frames do not).
     int idle_give_up_polls = 0;
-    /// Bounded tries for each reply frame swallowed as TransientError by a
-    /// faulty link before the reply is abandoned (the worker's own resend or
-    /// re-pull covers the loss).
-    int reply_attempts = 4;
     /// Cells per lease grant.
     std::size_t lease_chunk = 4;
     /// A lease holder silent for this many coordinator protocol ops (frames
@@ -225,7 +212,7 @@ struct DistributedOptions {
     /// Per-worker link fault plans; missing entries get a clean plan.
     std::vector<core::TransportFaultPlan> worker_faults;
     CoordinatorCrashPlan coordinator_crash;
-    monitoring::CollectorRetryPolicy retry{.max_attempts = 4};
+    int frame_attempts = 4;  ///< WorkerOptions::frame_attempts of every worker
     int ack_timeout_ms = 250;  ///< loopback acks are instant; keep kills fast
     std::size_t lease_chunk = 2;
     std::uint64_t lease_deadline_ops = 1024;

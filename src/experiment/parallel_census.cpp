@@ -1,6 +1,7 @@
 #include "experiment/parallel_census.hpp"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -17,6 +18,22 @@ FaultCensus run_season_census(const ExperimentConfig& config) {
     return take_census(run);
 }
 
+ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index) {
+    const std::uint64_t seed = plan.base_seed + index;
+    ExperimentConfig cfg;
+    if (plan.make_config) {
+        cfg = plan.make_config(index, seed);
+    } else {
+        cfg.master_seed = seed;
+    }
+    core::with_context("census cell " + std::to_string(index), [&] { validate(cfg); });
+    return cfg;
+}
+
+FaultCensus run_cell(const CensusPlan& plan, const ExperimentConfig& config) {
+    return plan.run_cell ? plan.run_cell(config) : run_season_census(config);
+}
+
 ParallelCensus::ParallelCensus(CensusPlan plan, std::size_t jobs)
     : plan_(std::move(plan)), runner_(jobs) {}
 
@@ -27,18 +44,7 @@ std::vector<ExperimentConfig> ParallelCensus::build_configs() const {
     // worker starts.
     std::vector<ExperimentConfig> configs;
     configs.reserve(plan_.seeds);
-    for (std::size_t i = 0; i < plan_.seeds; ++i) {
-        const std::uint64_t seed = plan_.base_seed + i;
-        if (plan_.make_config) {
-            configs.push_back(plan_.make_config(i, seed));
-        } else {
-            ExperimentConfig cfg;
-            cfg.master_seed = seed;
-            configs.push_back(std::move(cfg));
-        }
-        core::with_context("census cell " + std::to_string(i),
-                           [&] { validate(configs.back()); });
-    }
+    for (std::size_t i = 0; i < plan_.seeds; ++i) configs.push_back(cell_config(plan_, i));
     return configs;
 }
 
@@ -90,17 +96,13 @@ CensusResult ParallelCensus::run_impl(SweepJournal* journal) const {
             missing.size(),
             [this, &configs, &missing, journal, &watchdog](std::size_t k) {
                 const std::size_t i = missing[k];
-                FaultCensus census;
+                std::optional<core::Watchdog::Scope> scope;
+                std::optional<core::ScopedCellToken> cell_token;
                 if (watchdog) {
-                    core::Watchdog::Scope scope =
-                        watchdog->watch("cell " + std::to_string(i));
-                    core::ScopedCellToken cell_token(scope.token());
-                    census = plan_.run_cell ? plan_.run_cell(configs[i])
-                                            : run_season_census(configs[i]);
-                } else {
-                    census = plan_.run_cell ? plan_.run_cell(configs[i])
-                                            : run_season_census(configs[i]);
+                    scope.emplace(watchdog->watch("cell " + std::to_string(i)));
+                    cell_token.emplace(scope->token());
                 }
+                const FaultCensus census = run_cell(plan_, configs[i]);
                 // Checkpoint each cell the moment it finishes: if a later
                 // cell crashes the whole process, this one is already safe.
                 if (journal) journal->record(i, census);

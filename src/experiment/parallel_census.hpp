@@ -79,6 +79,16 @@ struct CensusPlan {
     std::int64_t cell_deadline_ms = 0;
 };
 
+/// The config of cell `index`: plan.make_config if set, else the
+/// paper-default season with master seed `base_seed + index`; validated
+/// with the cell named in the diagnostic.  Every runner of a plan (local
+/// sweep, lease worker) derives cells through this one function, which is
+/// what lets a worker's journal carry the full-campaign key.
+[[nodiscard]] ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index);
+
+/// One cell's unit of work: plan.run_cell if set, else run_season_census.
+[[nodiscard]] FaultCensus run_cell(const CensusPlan& plan, const ExperimentConfig& config);
+
 /// Harness-level incidents of a campaign — the operator's-eye view the
 /// paper reports as reboot walks to the tent.  Not part of FaultCensus (the
 /// journal's 21-integer record format is unchanged): a hung *harness* node

@@ -315,27 +315,13 @@ void SweepJournal::load() {
             quarantined_.emplace(static_cast<std::size_t>(index), std::move(q));
             continue;
         }
-        std::array<std::uint64_t, kCensusFields> fields{};
-        for (std::size_t k = 0; k < kCensusFields; ++k) {
-            if (!(ss >> token)) {
-                throw core::ParseError("record for cell " + std::to_string(index) + " has " +
-                                           std::to_string(k) + " of " +
-                                           std::to_string(kCensusFields) + " census fields",
-                                       line_no);
-            }
-            fields[k] = core::parse_csv_u64(token, line_no);
-        }
-        if (ss >> token) {
-            throw core::ParseError("trailing junk in record for cell " + std::to_string(index),
-                                   line_no);
-        }
-        // Store the canonical encoding, not the disk line: parse_csv_u64
-        // takes leading zeros and >> takes extra spaces, so a re-checksummed
+        // The record's fields, parsed exactly as a CELL frame's are.  Store
+        // the canonical encoding, not the disk line: parse_csv_u64 takes
+        // leading zeros and >> takes extra spaces, so a re-checksummed
         // non-canonical line is normalised by the next rewrite.
-        const FaultCensus census = unpack(fields);
-        cells_.emplace(static_cast<std::size_t>(index),
-                       StoredCell{census, encode_cell_record(static_cast<std::size_t>(index),
-                                                             census)});
+        const CellRecord rec = core::with_context(
+            "line " + std::to_string(line_no), [&] { return decode_cell_record(line); });
+        cells_.emplace(rec.index, StoredCell{rec.census, encode_cell_record(rec.index, rec.census)});
     }
 }
 

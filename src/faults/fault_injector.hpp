@@ -7,9 +7,9 @@
 // in-field failures present as transients (the paper's host #15 pattern:
 // transient first, then a repeat that proves permanent).
 //
-// All hosts share one immutable HostHazardModel (and thus one precomputed
-// HazardTable): the model depends only on the config, so the injector
-// builds it once and every process evaluates against the same tables.
+// All hosts share one immutable HostHazardModel: the model depends only on
+// the config, so the injector builds it once and every process evaluates
+// against it.
 #pragma once
 
 #include <map>

@@ -9,7 +9,35 @@ namespace zerodeg::faults {
 
 namespace {
 constexpr double kHoursPerYear = 8766.0;
+constexpr double kBoltzmannEv = 8.617333262e-5;  // eV/K
 }  // namespace
+
+ArrheniusModel::ArrheniusModel(double activation_energy_ev, Celsius reference)
+    : ea_over_k_(activation_energy_ev / kBoltzmannEv),
+      t_ref_kelvin_(reference.to_kelvin().value()) {
+    if (activation_energy_ev <= 0.0) {
+        throw core::InvalidArgument("ArrheniusModel: activation energy must be positive");
+    }
+}
+
+double ArrheniusModel::acceleration(Celsius t) const {
+    const double t_kelvin = t.to_kelvin().value();
+    if (t_kelvin <= 0.0) throw core::InvalidArgument("ArrheniusModel: below absolute zero");
+    return std::exp(ea_over_k_ * (1.0 / t_ref_kelvin_ - 1.0 / t_kelvin));
+}
+
+PeckModel::PeckModel(double exponent, RelHumidity reference)
+    : n_(exponent), rh_ref_(reference.value()) {
+    if (exponent <= 0.0) throw core::InvalidArgument("PeckModel: exponent must be positive");
+    if (reference.value() <= 0.0) {
+        throw core::InvalidArgument("PeckModel: reference RH must be positive");
+    }
+}
+
+double PeckModel::acceleration(RelHumidity rh) const {
+    const double clamped = std::max(rh.value(), 1.0);
+    return std::pow(clamped / rh_ref_, n_);
+}
 
 ColdStressModel::ColdStressModel(Celsius threshold, double coefficient_per_deg2)
     : threshold_(threshold.value()), coeff_(coefficient_per_deg2) {
@@ -45,8 +73,8 @@ double BathtubHazard::hazard_per_hour(double hours) const {
 
 HostHazardModel::HostHazardModel(HostHazardParams params)
     : params_(params),
-      table_(params.arrhenius_ea_ev, params.arrhenius_reference, params.peck_exponent,
-             params.peck_reference),
+      arrhenius_(params.arrhenius_ea_ev, params.arrhenius_reference),
+      peck_(params.peck_exponent, params.peck_reference),
       cold_(params.cold_threshold, params.cold_coeff_per_deg2),
       bathtub_(params.bathtub),
       base_per_hour_(params.base_afr / kHoursPerYear),
@@ -55,15 +83,15 @@ HostHazardModel::HostHazardModel(HostHazardParams params)
 double HostHazardModel::hazard_per_hour(const StressState& s) const {
     // Normalize the bathtub so a mid-life host matches base_afr at reference
     // conditions, then scale by the acceleration factors.  Kept as a divide
-    // (not a cached reciprocal) to round exactly like the pre-table code.
+    // (not a cached reciprocal) so the rounding matches the pinned goldens.
     const double age_shape = bathtub_.hazard_per_hour(s.age_hours) / bathtub_mid_;
 
     // Arrhenius works on component temperature; approximate it as intake
     // plus the same rise assumed at reference (the reference is "component
     // temp when intake is office air").
     const Celsius component_temp = s.intake + Celsius{24.0};
-    double accel = table_.arrhenius(component_temp);
-    if (s.humidity.value() > params_.humidity_knee.value()) accel *= table_.peck(s.humidity);
+    double accel = arrhenius_.acceleration(component_temp);
+    if (s.humidity.value() > params_.humidity_knee.value()) accel *= peck_.acceleration(s.humidity);
     accel *= cold_.acceleration(s.intake);
     accel *= 1.0 + params_.cycling_coeff_per_k_per_h * std::max(0.0, s.cycling_rate_k_per_h);
     if (s.known_unreliable) accel *= params_.unreliable_multiplier;

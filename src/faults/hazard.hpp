@@ -9,18 +9,44 @@
 //                       mechanical stress of thermal cycling,
 //   * bathtub         — infant mortality + useful life + wear-out over age,
 // into a single failures-per-hour rate the injector integrates through time.
-//
-// The analytic Arrhenius/Peck classes and their table-backed fast form live
-// in faults/hazard_table.hpp; HostHazardModel evaluates through the table.
+// Each factor is evaluated analytically; a season spends about a percent of
+// its time here, so there is no tabulated fast form.
 #pragma once
 
 #include "core/units.hpp"
-#include "faults/hazard_table.hpp"
 
 namespace zerodeg::faults {
 
 using core::Celsius;
 using core::RelHumidity;
+
+/// Arrhenius acceleration factor relative to a reference temperature:
+/// AF = exp(Ea/k * (1/T_ref - 1/T)).  Below T_ref the factor drops under 1 —
+/// cold silicon wears *slower*, which is why the paper's outcome (no failure
+/// wave) is physically plausible.
+class ArrheniusModel {
+public:
+    ArrheniusModel(double activation_energy_ev, Celsius reference);
+
+    [[nodiscard]] double acceleration(Celsius t) const;
+
+private:
+    double ea_over_k_;  ///< Ea / Boltzmann-in-eV
+    double t_ref_kelvin_;
+};
+
+/// Peck's humidity model: AF = (RH/RH_ref)^n, commonly n ~ 2.7-3.
+/// Applies above a threshold where surface moisture films form.
+class PeckModel {
+public:
+    PeckModel(double exponent, RelHumidity reference);
+
+    [[nodiscard]] double acceleration(RelHumidity rh) const;
+
+private:
+    double n_;
+    double rh_ref_;
+};
 
 /// Excess hazard from operating below the characterized range: grows
 /// quadratically below the threshold (condensed moisture, brittle solder,
@@ -98,11 +124,11 @@ public:
     [[nodiscard]] double hazard_per_hour(const StressState& s) const;
 
     [[nodiscard]] const HostHazardParams& params() const { return params_; }
-    [[nodiscard]] const HazardTable& table() const { return table_; }
 
 private:
     HostHazardParams params_;
-    HazardTable table_;
+    ArrheniusModel arrhenius_;
+    PeckModel peck_;
     ColdStressModel cold_;
     BathtubHazard bathtub_;
     double base_per_hour_;   ///< base_afr / hours-per-year, hoisted

@@ -8,7 +8,7 @@
 //
 //   utilization -> Server::set_cpu_load -> Fleet::wall_power
 //                -> enclosure heat input -> intake temperature
-//                -> faults::HazardTable stress
+//                -> faults::HostHazardModel stress
 //
 // so traffic shape (diurnal swing, flash crowds) shows up in the thermal
 // trace and the fault census, which is the experiment the paper's free-air

@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -108,7 +110,7 @@ TEST(RunDistributed, LossyLinksConvergeViaResendAndDedupe) {
         const fs::path dir = scratch_dir("lossy_" + std::to_string(seed));
         DistributedOptions opts;
         opts.workers = 2;
-        opts.retry.max_attempts = 8;
+        opts.frame_attempts = 8;
         opts.ack_timeout_ms = 100;  // dropped acks should charge resends fast
         core::TransportFaultPlan faults;
         faults.seed = seed;
@@ -149,14 +151,14 @@ TEST(RunDistributed, ZeroRetryPolicyConvergesViaLeaseRegrant) {
     const fs::path dir = scratch_dir("zero_retry");
     DistributedOptions opts;
     opts.workers = 1;
-    opts.retry.max_attempts = 1;  // the paper's collector: one attempt, no retry
+    opts.frame_attempts = 1;  // the paper's collector: one attempt, no retry
     opts.ack_timeout_ms = 100;
     core::TransportFaultPlan faults;
     faults.seed = 3;
     faults.drop_rate = 0.4;
     opts.worker_faults = {faults};
     const DistributedOutcome out = run_distributed(plan, dir, opts);
-    // No frame is ever resent within one delivery attempt (max_attempts 1),
+    // No frame is ever resent within one delivery attempt (frame_attempts 1),
     // yet nothing is lost: the worker's next pull makes the coordinator
     // re-announce the incomplete lease, and the locally journaled cells
     // stream again until acked.  The campaign converges anyway.
@@ -165,6 +167,40 @@ TEST(RunDistributed, ZeroRetryPolicyConvergesViaLeaseRegrant) {
     EXPECT_GT(out.workers[0].drops_absorbed, 0u);
     EXPECT_FALSE(out.workers[0].degraded);
     EXPECT_EQ(render_census_table(out.result, plan.base_seed), local_reference_render(plan));
+}
+
+TEST(RunDistributed, SerialWorkersRetryTransientCellsWithinCellAttempts) {
+    // Every cell throws TransientError on its first attempt.  A serial
+    // worker (worker_jobs 1) must spend the plan's cell_attempts budget on
+    // it just as ParallelCensus does, not let the error escape the worker.
+    CensusPlan plan = synthetic_plan(6);
+    plan.cell_attempts = 2;
+    auto mutex = std::make_shared<std::mutex>();
+    auto failed_once = std::make_shared<std::set<std::uint64_t>>();
+    plan.run_cell = [mutex, failed_once](const ExperimentConfig& cfg) -> FaultCensus {
+        {
+            const std::lock_guard lock(*mutex);
+            if (failed_once->insert(cfg.master_seed).second) {
+                throw core::TransientError("first attempt of every cell fails");
+            }
+        }
+        return synthetic_census(cfg);
+    };
+    const fs::path dir = scratch_dir("serial_cell_retry");
+    DistributedOptions opts;
+    opts.workers = 2;
+    opts.worker_jobs = 1;
+    const DistributedOutcome out = run_distributed(plan, dir, opts);
+    ASSERT_TRUE(out.coordinator.completed);
+    EXPECT_EQ(failed_once->size(), plan.seeds);
+
+    // The journal key cannot see run_cell, so the clean synthetic plan's
+    // local journal is the byte reference.
+    const fs::path ref = dir / "local-reference.journal";
+    const ParallelCensus census(synthetic_plan(6), 1);
+    SweepJournal journal(ref, census.journal_key(), false);
+    (void)census.run(journal);
+    EXPECT_EQ(slurp(merged_journal_path(dir)), slurp(ref));
 }
 
 TEST(RunDistributed, PermanentWorkerDeathIsAbsorbedBySurvivors) {

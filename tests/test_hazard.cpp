@@ -29,6 +29,7 @@ TEST(Arrhenius, Monotone) {
         prev = a;
     }
     EXPECT_THROW(ArrheniusModel(0.0, Celsius{45.0}), core::InvalidArgument);
+    EXPECT_THROW((void)m.acceleration(Celsius{-300.0}), core::InvalidArgument);
 }
 
 TEST(Peck, ReferenceIsUnity) {

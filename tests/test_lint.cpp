@@ -68,7 +68,7 @@ TEST(LintChecks, BenchClockOnlyInBenchAndTools) {
     EXPECT_EQ(ids_of(lint_source("src/experiment/x.cpp", src)),
               std::vector<std::string>{"ZD013"});
     // The sanctioned consumers: bench targets and tools.
-    EXPECT_TRUE(lint_source("bench/bench_perf_tick.cpp", src).empty());
+    EXPECT_TRUE(lint_source("bench/bench_tab_hashes.cpp", src).empty());
     EXPECT_TRUE(lint_source("tools/zerodeg_cli.cpp", src).empty());
 }
 
@@ -449,7 +449,7 @@ TEST(LintProject, ModuleOfClassifiesPaths) {
     EXPECT_EQ(module_of("src/core/rng.hpp"), "core");
     EXPECT_EQ(module_of("src/weather/weather_model.cpp"), "weather");
     EXPECT_EQ(module_of("tools/lint/main.cpp"), "tools");
-    EXPECT_EQ(module_of("bench/bench_perf_tick.cpp"), "bench");
+    EXPECT_EQ(module_of("bench/bench_tab_hashes.cpp"), "bench");
     EXPECT_EQ(module_of("tests/test_lint.cpp"), "tests");
     EXPECT_EQ(module_of("examples/workload_pipeline.cpp"), "");
 }

@@ -551,7 +551,7 @@ int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
         faults.reorder_rate = 0.05;
         faults.ack_drop_rate = 0.05;
         link = std::make_unique<core::FaultyTransport>(faults, "worker.0", std::move(link));
-        opts.retry.max_attempts = 8;  // lossy link: a deeper resend budget
+        opts.frame_attempts = 8;  // lossy link: a deeper resend budget
     }
 
     const experiment::WorkerReport report =
