@@ -12,12 +12,14 @@
 #      left behind as a reviewable artifact
 #   3. the `parallel` label rebuilt under ThreadSanitizer — the data-race
 #      gate for the task-pool / sharded-sweep engine
-#   4. the `resilience` + `chaos` + `codec` labels rebuilt under ASan+UBSan —
-#      the gate for the journal/retry/error paths, the fault-injection/torture
-#      machinery (crash-at-every-write-point resume, watchdog cancellation,
-#      transport-fault and cross-process distributed-sweep torture) and the
-#      byte codecs that parse damaged buffers (MD5, CRC-32, frost compressor,
-#      recovery, the load cycle) — plus
+#   4. the `resilience` + `chaos` + `codec` + `traffic` labels rebuilt under
+#      ASan+UBSan — the gate for the journal/retry/error paths, the
+#      fault-injection/torture machinery (crash-at-every-write-point resume,
+#      watchdog cancellation, transport-fault and cross-process
+#      distributed-sweep torture), the byte codecs that parse damaged buffers
+#      (MD5, CRC-32, frost compressor, recovery, the load cycle) and the
+#      traffic engine's index bookkeeping (PS queues compacted in place, the
+#      per-host next-departure cache, the per-second diurnal table) — plus
 #      cross-process smokes: coordinator + 2 workers over a unix socket with
 #      a seeded FaultyTransport, merged journal byte-compared lossless/lossy,
 #      and a lease-mode campaign where one worker is SIGKILLed permanently
@@ -58,10 +60,10 @@ run cmake -B build-tsan -S . -DZERODEG_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS"
 run ctest --test-dir build-tsan -L parallel --output-on-failure -j "$JOBS"
 
-echo "=== [4/7] resilience + chaos + codec labels under ASan+UBSan ===" >&2
+echo "=== [4/7] resilience + chaos + codec + traffic labels under ASan+UBSan ===" >&2
 run cmake -B build-asan -S . -DZERODEG_SANITIZE=address,undefined
 run cmake --build build-asan -j "$JOBS"
-run ctest --test-dir build-asan -L 'resilience|chaos|codec' --output-on-failure -j "$JOBS"
+run ctest --test-dir build-asan -L 'resilience|chaos|codec|traffic' --output-on-failure -j "$JOBS"
 
 # Distributed-torture smoke, cross-process: a real coordinator + 2 workers
 # (ASan+UBSan instrumented) over a unix socket, both worker links running a

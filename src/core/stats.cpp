@@ -46,16 +46,41 @@ void RunningStats::merge(const RunningStats& other) {
     max_ = std::max(max_, other.max_);
 }
 
-double percentile(std::vector<double> data, double p) {
-    if (data.empty()) throw InvalidArgument("percentile: empty data");
+namespace {
+
+/// Where percentile `p` of `n` samples falls: between order statistics
+/// `lo` and `lo + 1`, `frac` of the way up.
+struct Rank {
+    std::size_t lo = 0;
+    double frac = 0.0;
+};
+
+Rank percentile_rank(std::size_t n, double p) {
+    if (n == 0) throw InvalidArgument("percentile: empty data");
     if (p < 0.0 || p > 100.0) throw InvalidArgument("percentile: p out of [0,100]");
-    std::sort(data.begin(), data.end());
-    if (data.size() == 1) return data[0];
-    const double rank = p / 100.0 * static_cast<double>(data.size() - 1);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
     const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= data.size()) return data.back();
-    return data[lo] + frac * (data[lo + 1] - data[lo]);
+    return {lo, rank - static_cast<double>(lo)};
+}
+
+double interpolate(double lo, double hi, double frac) { return lo + frac * (hi - lo); }
+
+}  // namespace
+
+double percentile(std::vector<double> data, double p) {
+    const Rank r = percentile_rank(data.size(), p);
+    const auto lo = data.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(data.begin(), lo, data.end());
+    if (r.lo + 1 >= data.size()) return *lo;
+    // Everything after the lo-th order statistic is >= it, so the
+    // (lo+1)-th is the least of that upper part.
+    return interpolate(*lo, *std::min_element(lo + 1, data.end()), r.frac);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+    const Rank r = percentile_rank(sorted.size(), p);
+    if (r.lo + 1 >= sorted.size()) return sorted.back();
+    return interpolate(sorted[r.lo], sorted[r.lo + 1], r.frac);
 }
 
 double pearson_correlation(const std::vector<double>& x, const std::vector<double>& y) {

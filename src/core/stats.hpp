@@ -33,8 +33,14 @@ private:
 };
 
 /// Percentile of a data set via linear interpolation between closest ranks.
-/// `p` in [0, 100].  Copies and sorts; intended for report-sized data.
+/// `p` in [0, 100].  Takes its own copy and selects the two ranks it needs
+/// (O(n), no full sort); the result equals percentile_sorted() of the sorted
+/// data bit for bit.
 [[nodiscard]] double percentile(std::vector<double> data, double p);
+
+/// percentile() of data already sorted ascending: O(1), for callers that
+/// read several percentiles of one sample.
+[[nodiscard]] double percentile_sorted(const std::vector<double>& sorted, double p);
 
 /// Pearson correlation coefficient of two equal-length vectors.
 [[nodiscard]] double pearson_correlation(const std::vector<double>& x,

@@ -37,10 +37,10 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config)
 
     // Load: one job definition, per-host memory-fault streams.  The
     // scheduler is inert until hosts register, so it is constructed even
-    // for traffic seasons (its census stats then read zero).
-    load_ = std::make_unique<workload::LoadScheduler>(
-        sim_, workload::LoadJob(config_.load, config_.master_seed), config_.memory,
-        config_.master_seed);
+    // for traffic seasons (its census stats then read zero); it builds the
+    // archive job only when the first host joins, so those seasons never do.
+    load_ = std::make_unique<workload::LoadScheduler>(sim_, config_.load, config_.memory,
+                                                      config_.master_seed);
     if (config_.workload == WorkloadKind::kTraffic) {
         traffic_ = std::make_unique<workload::TrafficEngine>(config_.traffic,
                                                              config_.master_seed, config_.start);

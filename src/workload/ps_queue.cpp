@@ -7,6 +7,12 @@
 
 namespace zerodeg::workload {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+}  // namespace
+
 PsQueue::PsQueue(double service_rate) : rate_(service_rate) {
     if (!(service_rate > 0.0)) {
         throw core::InvalidArgument("PsQueue: service_rate must be positive");
@@ -18,47 +24,58 @@ void PsQueue::admit(std::uint64_t id, double demand, double now) {
     if (!(demand > 0.0)) throw core::InvalidArgument("PsQueue::admit: demand must be positive");
     // The caller has already drained departures up to `now`; the remaining
     // span holds no completion, so only the clock and shared progress move.
-    if (!jobs_.empty()) {
+    if (jobs_.empty()) {
+        min_rem_ = demand;
+    } else {
         const double dt = now - clock_;
-        const double work = dt * rate_ / static_cast<double>(jobs_.size());
-        for (Job& j : jobs_) j.remaining -= work;
+        min_rem_ = std::min(serve(dt * rate_ / static_cast<double>(jobs_.size())), demand);
         busy_seconds_ += dt;
     }
     clock_ = now;
     jobs_.push_back({id, demand});
 }
 
+double PsQueue::serve(double work) {
+    double least = kInf;
+    for (Job& j : jobs_) {
+        j.remaining -= work;
+        least = std::min(least, j.remaining);
+    }
+    return least;
+}
+
 void PsQueue::advance_to(double t, std::vector<Completion>& out) {
     if (t < clock_) throw core::InvalidArgument("PsQueue::advance_to: time ran backwards");
     while (!jobs_.empty()) {
         const double n = static_cast<double>(jobs_.size());
-        double min_rem = jobs_.front().remaining;
-        for (const Job& j : jobs_) min_rem = std::min(min_rem, j.remaining);
         // Each resident job receives rate/n; the earliest departure is when
         // the least-loaded job's remaining work drains.
-        const double dt_to_departure = min_rem * n / rate_;
+        const double dt_to_departure = min_rem_ * n / rate_;
         if (clock_ + dt_to_departure > t) {
             const double dt = t - clock_;
-            const double work = dt * rate_ / n;
-            for (Job& j : jobs_) j.remaining -= work;
+            min_rem_ = serve(dt * rate_ / n);
             busy_seconds_ += dt;
             clock_ = t;
             return;
         }
         busy_seconds_ += dt_to_departure;
         clock_ += dt_to_departure;
-        for (Job& j : jobs_) j.remaining -= min_rem;
-        // Pop everything drained (ties depart together, admission order).
-        std::vector<Job> still;
-        still.reserve(jobs_.size());
-        for (const Job& j : jobs_) {
+        // Pop everything drained (ties depart together, admission order) and
+        // compact the survivors in place, taking their minimum as we go.
+        const double work = min_rem_;
+        double least = kInf;
+        std::size_t kept = 0;
+        for (Job j : jobs_) {
+            j.remaining -= work;
             if (j.remaining <= 1e-12) {
                 out.push_back({j.id, clock_});
             } else {
-                still.push_back(j);
+                jobs_[kept++] = j;
+                least = std::min(least, j.remaining);
             }
         }
-        jobs_ = std::move(still);
+        jobs_.resize(kept);
+        min_rem_ = least;
     }
     clock_ = t;
 }
@@ -66,7 +83,12 @@ void PsQueue::advance_to(double t, std::vector<Completion>& out) {
 bool PsQueue::cancel(std::uint64_t id) {
     for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
         if (it->id == id) {
+            const bool held_min = it->remaining == min_rem_;
             jobs_.erase(it);
+            if (held_min) {
+                min_rem_ = kInf;
+                for (const Job& j : jobs_) min_rem_ = std::min(min_rem_, j.remaining);
+            }
             return true;
         }
     }
@@ -79,10 +101,8 @@ void PsQueue::drop_all(std::vector<std::uint64_t>& out) {
 }
 
 double PsQueue::next_completion_time() const {
-    if (jobs_.empty()) return std::numeric_limits<double>::infinity();
-    double min_rem = jobs_.front().remaining;
-    for (const Job& j : jobs_) min_rem = std::min(min_rem, j.remaining);
-    return clock_ + min_rem * static_cast<double>(jobs_.size()) / rate_;
+    if (jobs_.empty()) return kInf;
+    return clock_ + min_rem_ * static_cast<double>(jobs_.size()) / rate_;
 }
 
 double PsQueue::take_busy_seconds() {

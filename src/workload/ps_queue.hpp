@@ -11,6 +11,18 @@
 // Everything is deterministic: jobs are held in admission order, ties
 // complete in admission order, and no randomness lives here (the generators
 // own the RNG streams).
+//
+// The queue caches its least remaining work, so next_completion_time() is
+// O(1) and a departure costs one pass instead of two.  The cache is exact,
+// not an estimate: every pass that subtracts shared progress from the
+// resident jobs also takes the minimum of the values it just stored, so the
+// cached double is one of the stored doubles, bit for bit.  (Subtracting the
+// same amount from every job cannot reorder them — IEEE rounding is
+// monotone — but the cache does not even rely on that.)  Only cancel() of
+// the job holding the minimum rescans.  A virtual-time design (finish tags
+// in a heap, one subtraction per event instead of n) would be cheaper still,
+// but it sums the same progress in a different order, which moves departure
+// instants by an ulp and with them every golden latency the seasons pin.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +79,11 @@ private:
     double clock_ = 0.0;
     double busy_seconds_ = 0.0;
     std::vector<Job> jobs_;  ///< admission order
+    double min_rem_ = 0.0;   ///< least `remaining` in jobs_ (meaningless when empty)
+
+    /// Subtract `work` from every resident job; returns the new least
+    /// remaining work.
+    double serve(double work);
 };
 
 }  // namespace zerodeg::workload

@@ -1,6 +1,7 @@
 #include "workload/request_gen.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "core/error.hpp"
 
@@ -20,17 +21,26 @@ double rate_envelope(const OpenLoopConfig& config) {
     return config.base_rps * (1.0 + config.diurnal_amplitude) * crowd_max;
 }
 
-}  // namespace
-
-double arrival_rate(const OpenLoopConfig& config, core::TimePoint t) {
-    const double day_frac = t.day_fraction();
-    const double peak_frac = config.peak_hour / 24.0;
-    double rate = config.base_rps *
-                  (1.0 + config.diurnal_amplitude * std::cos(kTwoPi * (day_frac - peak_frac)));
+/// `rate` times the multiplier of every flash crowd active at `t`, applied
+/// in configuration order.
+double with_flash_crowds(const OpenLoopConfig& config, core::TimePoint t, double rate) {
     for (const FlashCrowd& c : config.flash_crowds) {
         if (t >= c.start && t < c.start + c.duration) rate *= c.multiplier;
     }
     return rate;
+}
+
+}  // namespace
+
+double diurnal_rate(const OpenLoopConfig& config, int seconds_of_day) {
+    const double day_frac = seconds_of_day / 86400.0;
+    const double peak_frac = config.peak_hour / 24.0;
+    return config.base_rps *
+           (1.0 + config.diurnal_amplitude * std::cos(kTwoPi * (day_frac - peak_frac)));
+}
+
+double arrival_rate(const OpenLoopConfig& config, core::TimePoint t) {
+    return with_flash_crowds(config, t, diurnal_rate(config, t.seconds_of_day()));
 }
 
 OpenLoopGenerator::OpenLoopGenerator(OpenLoopConfig config, std::uint64_t master_seed,
@@ -38,7 +48,8 @@ OpenLoopGenerator::OpenLoopGenerator(OpenLoopConfig config, std::uint64_t master
     : config_(std::move(config)),
       origin_(origin),
       rng_(master_seed, "traffic.arrivals"),
-      rate_max_(rate_envelope(config_)) {
+      rate_max_(rate_envelope(config_)),
+      diurnal_(86400, std::numeric_limits<double>::quiet_NaN()) {
     if (!(config_.base_rps > 0.0)) {
         throw core::InvalidArgument("OpenLoopGenerator: base_rps must be positive");
     }
@@ -54,7 +65,10 @@ double OpenLoopGenerator::next_arrival() {
     for (;;) {
         t_ += rng_.exponential(rate_max_);
         const core::TimePoint at = origin_ + core::Duration::seconds(static_cast<std::int64_t>(t_));
-        const double accept = arrival_rate(config_, at) / rate_max_;
+        const int sod = at.seconds_of_day();
+        double& diurnal = diurnal_[static_cast<std::size_t>(sod)];
+        if (std::isnan(diurnal)) diurnal = diurnal_rate(config_, sod);
+        const double accept = with_flash_crowds(config_, at, diurnal) / rate_max_;
         if (rng_.uniform01() < accept) return t_;
     }
 }

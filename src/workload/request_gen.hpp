@@ -43,11 +43,20 @@ struct OpenLoopConfig {
     std::vector<FlashCrowd> flash_crowds;
 };
 
-/// Instantaneous arrival rate at absolute time `t` (requests per second).
+/// The diurnal curve alone at `seconds_of_day` in [0, 86400), before any
+/// flash crowd (requests per second).
+[[nodiscard]] double diurnal_rate(const OpenLoopConfig& config, int seconds_of_day);
+
+/// Instantaneous arrival rate at absolute time `t` (requests per second):
+/// diurnal_rate() times every flash crowd active at `t`.
 [[nodiscard]] double arrival_rate(const OpenLoopConfig& config, core::TimePoint t);
 
 /// Open-loop arrival sequencer: emits the Poisson arrival instants of the
 /// configured rate curve, in order, via thinning against the rate envelope.
+/// A candidate's rate depends on its whole second only, so the diurnal
+/// factor is memoised per second of day (one cos per second ever touched,
+/// not one per candidate); arrivals are bit-identical to thinning against
+/// arrival_rate() directly.
 class OpenLoopGenerator {
 public:
     /// Arrival times are seconds relative to `origin` (the season start);
@@ -66,6 +75,7 @@ private:
     core::RngStream rng_;
     double rate_max_;
     double t_ = 0.0;
+    std::vector<double> diurnal_;  ///< diurnal_rate by second of day; NaN until first use
 };
 
 /// The closed-loop population: N users with exponential think times.

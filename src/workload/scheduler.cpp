@@ -4,11 +4,11 @@
 
 namespace zerodeg::workload {
 
-LoadScheduler::LoadScheduler(core::Simulator& sim, LoadJob job,
+LoadScheduler::LoadScheduler(core::Simulator& sim, LoadJobConfig job_config,
                              faults::MemoryFaultParams mem_params, std::uint64_t master_seed,
                              core::Duration cycle)
     : sim_(sim),
-      job_(std::move(job)),
+      job_config_(std::move(job_config)),
       mem_params_(mem_params),
       master_seed_(master_seed),
       cycle_(cycle) {
@@ -22,6 +22,7 @@ void LoadScheduler::add_host(HostBinding binding, core::TimePoint first_cycle) {
     if (!binding.operational) {
         throw core::InvalidArgument("LoadScheduler::add_host: missing operational check");
     }
+    if (!job_) job_.emplace(job_config_, master_seed_);
     const int id = binding.host_id;
     const std::string tag = std::to_string(id);
     HostState state{
@@ -63,7 +64,7 @@ void LoadScheduler::run_cycle(int host_id) {
         ++st.skipped;
         return;
     }
-    const JobResult result = job_.run(h.memory, h.binding.ecc);
+    const JobResult result = job_->run(h.memory, h.binding.ecc);
     ++st.runs;
     st.page_ops += result.page_ops;
     st.ecc_corrected += result.corrected_flips;
@@ -79,6 +80,11 @@ void LoadScheduler::run_cycle(int host_id) {
         }
         incidents_.push_back(inc);
     }
+}
+
+const LoadJob& LoadScheduler::job() const {
+    if (!job_) throw core::InvalidArgument("LoadScheduler::job: no host registered yet");
+    return *job_;
 }
 
 const HostLoadStats& LoadScheduler::stats(int host_id) const {

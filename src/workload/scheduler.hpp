@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,13 @@ public:
         std::function<bool()> operational;
     };
 
-    /// One shared job definition (the corpus is the same on every host);
-    /// per-host RNG streams keep the fuzz and faults independent.  The
-    /// scheduler takes ownership of the job.
-    LoadScheduler(core::Simulator& sim, LoadJob job, faults::MemoryFaultParams mem_params,
-                  std::uint64_t master_seed,
+    /// One shared job definition (the corpus is the same on every host),
+    /// built from `job_config` and `master_seed` when the first host
+    /// registers: a scheduler no host ever joins (a traffic season's) never
+    /// pays for the corpus, container and checkpoints.  Per-host RNG streams
+    /// keep the fuzz and faults independent.
+    LoadScheduler(core::Simulator& sim, LoadJobConfig job_config,
+                  faults::MemoryFaultParams mem_params, std::uint64_t master_seed,
                   core::Duration cycle = core::Duration::minutes(10));
 
     /// Register a host and start its cycle at `first_cycle` (typically the
@@ -57,7 +60,8 @@ public:
     /// Stop scheduling a host (retirement).
     void remove_host(int host_id);
 
-    [[nodiscard]] const LoadJob& job() const { return job_; }
+    /// The shared job; throws until a host has registered.
+    [[nodiscard]] const LoadJob& job() const;
     [[nodiscard]] const HostLoadStats& stats(int host_id) const;
     [[nodiscard]] const std::map<int, HostLoadStats>& all_stats() const { return stats_; }
     [[nodiscard]] const std::vector<WrongHashIncident>& incidents() const { return incidents_; }
@@ -76,7 +80,8 @@ private:
     };
 
     core::Simulator& sim_;
-    LoadJob job_;
+    LoadJobConfig job_config_;
+    std::optional<LoadJob> job_;  ///< built at the first add_host
     faults::MemoryFaultParams mem_params_;
     std::uint64_t master_seed_;
     core::Duration cycle_;

@@ -44,6 +44,7 @@ TrafficEngine::TrafficEngine(TrafficConfig config, std::uint64_t master_seed,
 void TrafficEngine::add_host(HostBinding binding) {
     hosts_.push_back(std::move(binding));
     queues_.emplace_back(config_.service_rate);
+    next_done_.push_back(kInf);
     host_up_.push_back(1);
 }
 
@@ -105,35 +106,32 @@ void TrafficEngine::dispatch(double t, int user) {
     for (std::size_t k = 0; k < targets.size(); ++k) {
         const std::uint64_t clone_id = rid * 2 + k;
         queues_[targets[k]].admit(clone_id, demand_.next(), t);
+        refresh(targets[k]);
         state.placements.push_back({targets[k], clone_id});
         ++clones_issued_;
     }
     requests_.emplace(rid, std::move(state));
 }
 
-void TrafficEngine::process_completions(std::vector<PendingCompletion>& work) {
+void TrafficEngine::process_completions(std::vector<PsQueue::Completion>& work) {
     // FIFO so first finish genuinely wins; cancelling a sibling first
     // advances its queue to the completion instant, which can (on an exact
     // tie) surface the sibling's own completion — those join the queue and
     // find the request already erased.
-    std::vector<PsQueue::Completion> spill;
     for (std::size_t i = 0; i < work.size(); ++i) {
-        const PendingCompletion pending = work[i];
-        const std::uint64_t rid = pending.completion.id / 2;
+        const PsQueue::Completion done = work[i];
+        const std::uint64_t rid = done.id / 2;
         const auto it = requests_.find(rid);
         if (it == requests_.end()) continue;  // sibling of an already-finished request
 
-        finish_request(rid, pending.completion.time);
-        slo_.record(pending.completion.time - it->second.arrival);
+        finish_request(rid, done.time);
+        slo_.record(done.time - it->second.arrival);
         for (const RequestState::Placement& p : it->second.placements) {
-            if (p.clone_id == pending.completion.id) continue;
+            if (p.clone_id == done.id) continue;
             PsQueue& q = queues_[p.host];
-            if (q.clock() < pending.completion.time) {
-                spill.clear();
-                q.advance_to(pending.completion.time, spill);
-                for (const PsQueue::Completion& c : spill) work.push_back({p.host, c});
-            }
+            if (q.clock() < done.time) q.advance_to(done.time, work);
             if (q.cancel(p.clone_id)) ++clones_cancelled_;
+            refresh(p.host);
         }
         requests_.erase(it);
     }
@@ -147,6 +145,7 @@ void TrafficEngine::drop_jobs_on_down_hosts() {
         if (host_up_[h] || queues_[h].in_service() == 0) continue;
         dropped.clear();
         queues_[h].drop_all(dropped);
+        refresh(h);
         for (const std::uint64_t clone_id : dropped) {
             const std::uint64_t rid = clone_id / 2;
             const auto it = requests_.find(rid);
@@ -177,7 +176,7 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
 
     drop_jobs_on_down_hosts();
 
-    std::vector<PendingCompletion> work;
+    std::vector<PsQueue::Completion> work;
     for (;;) {
         // Next arrival: the cached open-loop instant, or the earliest
         // thinking user (ties to the lowest user index).
@@ -197,10 +196,9 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
         // Next completion across all hosts (ties to the lowest host index).
         double t_comp = kInf;
         std::size_t comp_host = 0;
-        for (std::size_t h = 0; h < queues_.size(); ++h) {
-            const double t = queues_[h].next_completion_time();
-            if (t < t_comp) {
-                t_comp = t;
+        for (std::size_t h = 0; h < next_done_.size(); ++h) {
+            if (next_done_[h] < t_comp) {
+                t_comp = next_done_[h];
                 comp_host = h;
             }
         }
@@ -210,9 +208,8 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
 
         if (t_comp <= t_arr) {
             // Completions first at a tie, so admit() never skips a departure.
-            std::vector<PsQueue::Completion> done;
-            queues_[comp_host].advance_to(t_comp, done);
-            for (const PsQueue::Completion& c : done) work.push_back({comp_host, c});
+            queues_[comp_host].advance_to(t_comp, work);
+            refresh(comp_host);
             process_completions(work);
         } else if (config_.mode == TrafficConfig::Mode::kOpen) {
             dispatch(t_arr, -1);
@@ -224,13 +221,12 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
     }
 
     // Quiet remainder of the tick: move every clock to t_end and settle the
-    // busy-time integrals.  No completion can fire (the loop drained them).
-    std::vector<PsQueue::Completion> leftovers;
-    for (PsQueue& q : queues_) q.advance_to(t_end, leftovers);
-    for (const PsQueue::Completion& c : leftovers) {
-        // Defensive: only reachable through floating-point edge cases at
-        // exactly t_end; account for them rather than losing requests.
-        work.push_back({0, c});
+    // busy-time integrals.  No completion can fire (the loop drained them);
+    // any that does is a floating-point edge case at exactly t_end, and is
+    // accounted for rather than losing its request.
+    for (std::size_t h = 0; h < queues_.size(); ++h) {
+        queues_[h].advance_to(t_end, work);
+        refresh(h);
     }
     if (!work.empty()) process_completions(work);
     now_ = t_end;

@@ -107,14 +107,11 @@ private:
         std::vector<Placement> placements;
     };
 
-    struct PendingCompletion {
-        std::size_t host = 0;
-        PsQueue::Completion completion{};
-    };
-
     void drop_jobs_on_down_hosts();
     void dispatch(double t, int user);
-    void process_completions(std::vector<PendingCompletion>& work);
+    void process_completions(std::vector<PsQueue::Completion>& work);
+    /// Re-read queue `h`'s next departure after anything mutated it.
+    void refresh(std::size_t h) { next_done_[h] = queues_[h].next_completion_time(); }
     void finish_request(std::uint64_t request_id, double t);  ///< closed-loop user re-think
     /// Least-loaded operational host; restricted to one side of the split
     /// when `side` is set.  Returns hosts_.size() when none qualifies.
@@ -124,6 +121,7 @@ private:
     core::TimePoint origin_;
     std::vector<HostBinding> hosts_;
     std::vector<PsQueue> queues_;
+    std::vector<double> next_done_;  ///< queues_[h].next_completion_time(), kept current
     std::vector<char> host_up_;  ///< dispatchability, refreshed each tick
 
     std::optional<OpenLoopGenerator> arrivals_;

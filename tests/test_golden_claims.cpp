@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/rng.hpp"
 #include "energy/pue.hpp"
 #include "experiment/census.hpp"
 #include "experiment/parallel_census.hpp"
 #include "experiment/prototype.hpp"
 #include "experiment/runner.hpp"
 #include "faults/memory_faults.hpp"
+#include "workload/slo.hpp"
 
 namespace zerodeg {
 namespace {
@@ -118,6 +121,31 @@ TEST(GoldenClaims, DefaultTrafficSeasonGoldenNumbers) {
     // The archive pipeline really was off: no batch runs, no hash checks.
     EXPECT_EQ(c.load_runs, 0u);
     EXPECT_EQ(c.wrong_hashes, 0u);
+}
+
+// The exported `traffic_slo.csv` of the default traffic season, single and
+// cloned dispatch, pinned byte for byte: every tick's p50/p95/p99 and busy
+// fraction is downstream of the PS event order, so a faster queue or
+// percentile that rounds one value differently moves these hashes.
+std::string default_traffic_slo_csv(bool clone) {
+    experiment::ExperimentConfig cfg;
+    cfg.workload = experiment::WorkloadKind::kTraffic;
+    cfg.traffic.clone_across_split = clone;
+    experiment::ExperimentRunner runner(cfg);
+    runner.run();
+    return workload::render_slo_csv(runner.traffic().slo());
+}
+
+TEST(GoldenClaims, DefaultTrafficSeasonSloCsvBytes) {
+    const std::string csv = default_traffic_slo_csv(false);
+    EXPECT_EQ(csv.size(), 342108u);
+    EXPECT_EQ(core::fnv1a(csv), 0x462a4f0f62fcdecfULL);
+}
+
+TEST(GoldenClaims, ClonedTrafficSeasonSloCsvBytes) {
+    const std::string csv = default_traffic_slo_csv(true);
+    EXPECT_EQ(csv.size(), 341560u);
+    EXPECT_EQ(core::fnv1a(csv), 0x66131ffacfdcd933ULL);
 }
 
 // --- Section 4.2.2: "around one in 570 million" --------------------------

@@ -11,11 +11,11 @@ using core::Duration;
 using core::Simulator;
 using core::TimePoint;
 
-LoadJob small_job() {
+LoadJobConfig small_job() {
     LoadJobConfig cfg;
     cfg.corpus.total_bytes = 64 * 1024;
     cfg.target_blocks = 20;
-    return LoadJob(cfg, 2010);
+    return cfg;
 }
 
 TEST(Scheduler, TenMinuteCadence) {
@@ -108,6 +108,16 @@ TEST(Scheduler, PageOpsAccumulate) {
     sim.run_until(sim.now() + Duration::hours(1) + Duration::minutes(5));
     EXPECT_EQ(sched.total_page_ops(),
               sched.stats(1).runs * sched.job().page_ops_per_run());
+}
+
+TEST(Scheduler, BuildsTheJobAtTheFirstHost) {
+    // A scheduler no host joins (a traffic season's) never builds the
+    // archive job; the first add_host does, from the scheduler's seed.
+    Simulator sim(TimePoint::from_date(2010, 2, 19));
+    LoadScheduler sched(sim, small_job(), faults::MemoryFaultParams{}, 1);
+    EXPECT_THROW((void)sched.job(), core::InvalidArgument);
+    sched.add_host({1, false, [] { return true; }}, sim.now());
+    EXPECT_EQ(sched.job().reference_digest(), LoadJob(small_job(), 1).reference_digest());
 }
 
 TEST(Scheduler, TwoHostsIndependentStreams) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 
 namespace zerodeg::core {
 namespace {
@@ -82,6 +85,43 @@ TEST(Percentile, Errors) {
     EXPECT_THROW((void)percentile({}, 50.0), InvalidArgument);
     EXPECT_THROW((void)percentile({1.0}, -1.0), InvalidArgument);
     EXPECT_THROW((void)percentile({1.0}, 101.0), InvalidArgument);
+    EXPECT_THROW((void)percentile_sorted({}, 50.0), InvalidArgument);
+    EXPECT_THROW((void)percentile_sorted({1.0}, 101.0), InvalidArgument);
+}
+
+/// The textbook definition: sort everything, interpolate between the two
+/// closest ranks.
+double sorted_oracle(std::vector<double> data, double p) {
+    std::sort(data.begin(), data.end());
+    if (data.size() == 1) return data[0];
+    const double rank = p / 100.0 * static_cast<double>(data.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    if (lo + 1 >= data.size()) return data.back();
+    return data[lo] + frac * (data[lo + 1] - data[lo]);
+}
+
+TEST(Percentile, SelectionEqualsTheSortOracleBitForBit) {
+    // Selection (nth_element + min of the upper part) must give the very
+    // doubles a full sort gives, ties and extreme ranks included.
+    RngStream rng(2010, "test.percentile");
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{1000}}) {
+        std::vector<double> data;
+        for (std::size_t i = 0; i < n; ++i) {
+            // Coarse values so ties are common; every tenth is an outlier.
+            const double v = std::floor(rng.uniform(0.0, 50.0)) / 4.0;
+            data.push_back(i % 10 == 9 ? v * 1e3 : v);
+        }
+        std::vector<double> sorted = data;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<double> ps = {0.0, 50.0, 95.0, 99.0, 100.0};
+        for (int k = 0; k < 20; ++k) ps.push_back(rng.uniform(0.0, 100.0));
+        for (const double p : ps) {
+            const double want = sorted_oracle(data, p);
+            EXPECT_EQ(percentile(data, p), want) << "n " << n << " p " << p;
+            EXPECT_EQ(percentile_sorted(sorted, p), want) << "n " << n << " p " << p;
+        }
+    }
 }
 
 TEST(Correlation, PerfectPositiveAndNegative) {

@@ -7,10 +7,13 @@
 // bound min(N/(Z+R), mu), and cloning against its low-load advantage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "core/sim_time.hpp"
 #include "workload/ps_queue.hpp"
 #include "workload/request_gen.hpp"
@@ -201,6 +204,213 @@ TEST(PsQueue, SharesCapacityExactly) {
     q.advance_to(4.0, done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_DOUBLE_EQ(done[0].time, 3.5);
+}
+
+/// The straightforward processor-sharing queue: every query rescans the
+/// resident jobs and every departure rebuilds the job list.  PsQueue caches
+/// its minimum and compacts in place; it must agree with this bit for bit.
+class ReferencePsQueue {
+public:
+    explicit ReferencePsQueue(double rate) : rate_(rate) {}
+
+    void admit(std::uint64_t id, double demand, double now) {
+        if (!jobs_.empty()) {
+            const double dt = now - clock_;
+            const double work = dt * rate_ / static_cast<double>(jobs_.size());
+            for (Job& j : jobs_) j.remaining -= work;
+            busy_seconds_ += dt;
+        }
+        clock_ = now;
+        jobs_.push_back({id, demand});
+    }
+
+    void advance_to(double t, std::vector<PsQueue::Completion>& out) {
+        while (!jobs_.empty()) {
+            const double n = static_cast<double>(jobs_.size());
+            const double min_rem = least_remaining();
+            const double dt_to_departure = min_rem * n / rate_;
+            if (clock_ + dt_to_departure > t) {
+                const double dt = t - clock_;
+                const double work = dt * rate_ / n;
+                for (Job& j : jobs_) j.remaining -= work;
+                busy_seconds_ += dt;
+                clock_ = t;
+                return;
+            }
+            busy_seconds_ += dt_to_departure;
+            clock_ += dt_to_departure;
+            for (Job& j : jobs_) j.remaining -= min_rem;
+            std::vector<Job> still;
+            for (const Job& j : jobs_) {
+                if (j.remaining <= 1e-12) {
+                    out.push_back({j.id, clock_});
+                } else {
+                    still.push_back(j);
+                }
+            }
+            jobs_ = std::move(still);
+        }
+        clock_ = t;
+    }
+
+    bool cancel(std::uint64_t id) {
+        for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
+            if (it->id == id) {
+                jobs_.erase(it);
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void drop_all(std::vector<std::uint64_t>& out) {
+        for (const Job& j : jobs_) out.push_back(j.id);
+        jobs_.clear();
+    }
+
+    [[nodiscard]] double next_completion_time() const {
+        if (jobs_.empty()) return std::numeric_limits<double>::infinity();
+        return clock_ + least_remaining() * static_cast<double>(jobs_.size()) / rate_;
+    }
+
+    [[nodiscard]] double take_busy_seconds() {
+        const double b = busy_seconds_;
+        busy_seconds_ = 0.0;
+        return b;
+    }
+
+    [[nodiscard]] double clock() const { return clock_; }
+    [[nodiscard]] std::size_t in_service() const { return jobs_.size(); }
+    /// Resident ids in admission order, and the one closest to departing.
+    [[nodiscard]] std::vector<std::uint64_t> ids() const {
+        std::vector<std::uint64_t> out;
+        for (const Job& j : jobs_) out.push_back(j.id);
+        return out;
+    }
+    [[nodiscard]] std::uint64_t least_loaded_id() const {
+        const double least = least_remaining();
+        for (const Job& j : jobs_) {
+            if (j.remaining == least) return j.id;
+        }
+        return 0;
+    }
+
+private:
+    struct Job {
+        std::uint64_t id = 0;
+        double remaining = 0.0;
+    };
+
+    [[nodiscard]] double least_remaining() const {
+        double min_rem = jobs_.front().remaining;
+        for (const Job& j : jobs_) min_rem = std::min(min_rem, j.remaining);
+        return min_rem;
+    }
+
+    double rate_;
+    double clock_ = 0.0;
+    double busy_seconds_ = 0.0;
+    std::vector<Job> jobs_;
+};
+
+TEST(PsQueue, MatchesTheRescanningReferenceExactly) {
+    // Seeded random admit / advance / cancel / drop sequences with exact
+    // ties (equal demands, same-instant admissions, zero-length advances)
+    // driven through both queues; every observable must be the same double.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        core::RngStream rng(seed, "test.ps_queue");
+        const double rate = seed % 3 == 0 ? 0.75 : 1.0;
+        PsQueue fast(rate);
+        ReferencePsQueue ref(rate);
+        std::uint64_t next_id = 1;
+        for (int step = 0; step < 1500; ++step) {
+            const double dice = rng.uniform01();
+            std::vector<PsQueue::Completion> got;
+            std::vector<PsQueue::Completion> want;
+            // Same instant a fifth of the time, else a short hop.
+            const double t = ref.clock() + (rng.chance(0.2) ? 0.0 : rng.exponential(0.5));
+            if (dice < 0.45) {
+                // Equal demands half the time so departures tie exactly.
+                const double demand = rng.chance(0.5) ? 1.0 : rng.exponential(1.0);
+                fast.advance_to(t, got);
+                ref.advance_to(t, want);
+                fast.admit(next_id, demand, t);
+                ref.admit(next_id, demand, t);
+                ++next_id;
+            } else if (dice < 0.75) {
+                fast.advance_to(t, got);
+                ref.advance_to(t, want);
+            } else if (dice < 0.80) {
+                fast.advance_to(fast.clock(), got);
+                ref.advance_to(ref.clock(), want);
+            } else if (dice < 0.97) {
+                // Cancel the job closest to departing, a random one, or one
+                // that is not resident at all.
+                const std::vector<std::uint64_t> ids = ref.ids();
+                std::uint64_t victim = next_id + 7;
+                if (!ids.empty() && rng.chance(0.5)) {
+                    victim = ref.least_loaded_id();
+                } else if (!ids.empty() && rng.chance(0.8)) {
+                    victim = ids[static_cast<std::size_t>(
+                        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+                }
+                EXPECT_EQ(fast.cancel(victim), ref.cancel(victim));
+            } else {
+                std::vector<std::uint64_t> dropped_fast;
+                std::vector<std::uint64_t> dropped_ref;
+                fast.drop_all(dropped_fast);
+                ref.drop_all(dropped_ref);
+                EXPECT_EQ(dropped_fast, dropped_ref);
+            }
+            ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " step " << step;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].id, want[i].id);
+                EXPECT_EQ(got[i].time, want[i].time);
+            }
+            ASSERT_EQ(fast.in_service(), ref.in_service()) << "seed " << seed;
+            ASSERT_EQ(fast.clock(), ref.clock()) << "seed " << seed << " step " << step;
+            ASSERT_EQ(fast.next_completion_time(), ref.next_completion_time())
+                << "seed " << seed << " step " << step;
+            if (rng.chance(0.1)) {
+                ASSERT_EQ(fast.take_busy_seconds(), ref.take_busy_seconds()) << "seed " << seed;
+            }
+        }
+        EXPECT_EQ(fast.take_busy_seconds(), ref.take_busy_seconds());
+    }
+}
+
+TEST(OpenLoopGenerator, EqualsThinningAgainstArrivalRate) {
+    // The per-second diurnal table is a cache, not an approximation: the
+    // generator must emit exactly the arrivals of textbook Lewis-Shedler
+    // thinning that calls arrival_rate() for every candidate.  The origin
+    // is mid-afternoon and two overlapping flash crowds straddle midnight,
+    // so the table wraps and multipliers stack in configuration order.
+    OpenLoopConfig cfg;
+    cfg.base_rps = 2.0;
+    cfg.diurnal_amplitude = 0.4;
+    cfg.peak_hour = 20.0;
+    cfg.flash_crowds = {
+        {TimePoint::from_civil({2010, 2, 19, 22, 30, 0}), Duration::hours(4), 3.0},
+        {TimePoint::from_civil({2010, 2, 20, 1, 0, 0}), Duration::hours(2), 1.7},
+    };
+    const TimePoint origin = TimePoint::from_civil({2010, 2, 19, 13, 37, 11});
+    const std::uint64_t seed = 424242;
+    OpenLoopGenerator gen(cfg, seed, origin);
+
+    core::RngStream rng(seed, "traffic.arrivals");
+    const double rate_max = cfg.base_rps * (1.0 + cfg.diurnal_amplitude) * 3.0;
+    double t = 0.0;
+    for (int i = 0; i < 200000; ++i) {
+        for (;;) {
+            t += rng.exponential(rate_max);
+            const TimePoint at = origin + Duration::seconds(static_cast<std::int64_t>(t));
+            if (rng.uniform01() < arrival_rate(cfg, at) / rate_max) break;
+        }
+        ASSERT_EQ(gen.next_arrival(), t) << "arrival " << i;
+    }
+    // The window really crossed both crowds and midnight.
+    EXPECT_GT(t, static_cast<double>(
+                     (TimePoint::from_civil({2010, 2, 20, 3, 0, 0}) - origin).count()));
 }
 
 TEST(ArrivalRate, DiurnalAndFlashCrowdCompose) {
