@@ -67,7 +67,9 @@ double interpolate(double lo, double hi, double frac) { return lo + frac * (hi -
 
 }  // namespace
 
-double percentile(std::vector<double> data, double p) {
+double percentile(std::vector<double> data, double p) { return percentile_in_place(data, p); }
+
+double percentile_in_place(std::span<double> data, double p) {
     const Rank r = percentile_rank(data.size(), p);
     const auto lo = data.begin() + static_cast<std::ptrdiff_t>(r.lo);
     std::nth_element(data.begin(), lo, data.end());

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace zerodeg::core {
@@ -37,6 +38,11 @@ private:
 /// (O(n), no full sort); the result equals percentile_sorted() of the sorted
 /// data bit for bit.
 [[nodiscard]] double percentile(std::vector<double> data, double p);
+
+/// percentile() without the copy: selects within `data`, leaving it in an
+/// unspecified order.  For callers that hold a large sample whose order
+/// nothing reads.
+[[nodiscard]] double percentile_in_place(std::span<double> data, double p);
 
 /// percentile() of data already sorted ascending: O(1), for callers that
 /// read several percentiles of one sample.

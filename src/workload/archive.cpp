@@ -42,7 +42,13 @@ bool is_zero_record(const std::uint8_t* rec) {
 }  // namespace
 
 std::vector<std::uint8_t> write_archive(const std::vector<CorpusFile>& files) {
+    // Sized exactly up front: one allocation, no regrowth copies.
+    std::size_t total = 2 * kRecordSize;
+    for (const CorpusFile& f : files) {
+        total += kRecordSize + (f.contents.size() + kRecordSize - 1) / kRecordSize * kRecordSize;
+    }
     std::vector<std::uint8_t> out;
+    out.reserve(total);
     for (const CorpusFile& f : files) {
         if (f.path.size() >= kNameLen) {
             throw core::InvalidArgument("write_archive: path too long: " + f.path);

@@ -1,8 +1,8 @@
 #include "workload/compressor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <queue>
 
 #include "core/error.hpp"
 #include "workload/crc32.hpp"
@@ -16,32 +16,44 @@ constexpr std::uint8_t kEsc = 0xf7;
 constexpr std::size_t kMinRun = 4;
 }  // namespace
 
-std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data) {
-    std::vector<std::uint8_t> out;
-    out.reserve(data.size());
+std::size_t rle_encode_counting(std::span<const std::uint8_t> data, std::uint8_t* out,
+                               std::uint64_t* freq) {
+    std::uint8_t* const begin = out;
+    const auto emit = [&out, freq](std::uint8_t v) {
+        *out++ = v;
+        ++freq[v];
+    };
+    const std::size_t n = data.size();
     std::size_t i = 0;
-    while (i < data.size()) {
+    while (i < n) {
         const std::uint8_t b = data[i];
-        std::size_t run = 1;
+        // Most bytes of source text start no run and are not the escape.
+        if (b != kEsc && (i + 1 == n || data[i + 1] != b)) {
+            emit(b);
+            ++i;
+            continue;
+        }
         // Longest encodable run: count byte 255 => 255 + kMinRun - 1 bytes.
-        while (i + run < data.size() && data[i + run] == b && run < 254 + kMinRun) ++run;
+        const std::size_t limit = std::min(n - i, std::size_t{254} + kMinRun);
+        std::size_t run = 1;
+        while (run < limit && data[i + run] == b) ++run;
         if (run >= kMinRun) {
-            out.push_back(kEsc);
-            out.push_back(b);
-            out.push_back(static_cast<std::uint8_t>(run - kMinRun + 1));  // 1..252ish
+            emit(kEsc);
+            emit(b);
+            emit(static_cast<std::uint8_t>(run - kMinRun + 1));  // 1..255
             i += run;
         } else if (b == kEsc) {
             // Escaped literal escape byte: run field 0.
-            out.push_back(kEsc);
-            out.push_back(kEsc);
-            out.push_back(0);
+            emit(kEsc);
+            emit(kEsc);
+            emit(0);
             ++i;
         } else {
-            out.push_back(b);
+            emit(b);
             ++i;
         }
     }
-    return out;
+    return static_cast<std::size_t>(out - begin);
 }
 
 std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data) {
@@ -67,29 +79,6 @@ std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data) {
         }
     }
     return out;
-}
-
-void BitWriter::put(std::uint32_t bits, int count) {
-    if (count < 0 || count > 32) throw core::InvalidArgument("BitWriter::put: bad count");
-    if (count == 0) return;
-    // MSB-first within the given count, appended whole rather than bit by
-    // bit; emits the same byte stream as the original single-bit loop.
-    const std::uint64_t mask = count == 32 ? 0xffffffffull : (1ull << count) - 1;
-    acc_ = (acc_ << count) | (static_cast<std::uint64_t>(bits) & mask);
-    acc_bits_ += count;
-    while (acc_bits_ >= 8) {
-        acc_bits_ -= 8;
-        bytes_.push_back(static_cast<std::uint8_t>((acc_ >> acc_bits_) & 0xff));
-    }
-}
-
-std::vector<std::uint8_t> BitWriter::finish() {
-    if (acc_bits_ > 0) {
-        bytes_.push_back(static_cast<std::uint8_t>((acc_ << (8 - acc_bits_)) & 0xff));
-        acc_ = 0;
-        acc_bits_ = 0;
-    }
-    return std::move(bytes_);
 }
 
 void BitReader::fill() {
@@ -120,55 +109,51 @@ int BitReader::peek(int want, std::uint32_t& window) {
 
 bool BitReader::exhausted() const { return pos_ >= bytes_.size() && buf_bits_ == 0; }
 
-std::vector<std::uint8_t> huffman_code_lengths(const std::vector<std::uint64_t>& freq) {
-    struct Node {
-        std::uint64_t weight;
-        int index;  ///< tie-break for determinism
-        int left = -1;
-        int right = -1;
-        int symbol = -1;
-    };
-    std::vector<Node> nodes;
-    auto cmp = [&nodes](int a, int b) {
-        if (nodes[a].weight != nodes[b].weight) return nodes[a].weight > nodes[b].weight;
-        return nodes[a].index > nodes[b].index;
-    };
-    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
-
+std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freq) {
+    // Two-queue merge.  Leaves sorted by (weight, symbol) form one queue;
+    // merged nodes are born in nondecreasing weight order, so they form the
+    // other.  Taking the lighter front each time — a leaf on a tie, as it
+    // was created first — pops exactly what a min-heap keyed on (weight,
+    // creation index) pops, so the tree and its code lengths are the same.
+    std::vector<std::uint32_t> leaves;  // symbols, then sorted by weight
     for (std::size_t s = 0; s < freq.size(); ++s) {
-        if (freq[s] == 0) continue;
-        nodes.push_back({freq[s], static_cast<int>(nodes.size()), -1, -1, static_cast<int>(s)});
-        heap.push(static_cast<int>(nodes.size()) - 1);
+        if (freq[s] != 0) leaves.push_back(static_cast<std::uint32_t>(s));
     }
-    if (nodes.empty()) throw core::InvalidArgument("huffman_code_lengths: no symbols");
+    if (leaves.empty()) throw core::InvalidArgument("huffman_code_lengths: no symbols");
 
     std::vector<std::uint8_t> lengths(freq.size(), 0);
-    if (nodes.size() == 1) {
-        lengths[static_cast<std::size_t>(nodes[0].symbol)] = 1;
+    const std::size_t n = leaves.size();
+    if (n == 1) {
+        lengths[leaves[0]] = 1;
         return lengths;
     }
-    while (heap.size() > 1) {
-        const int a = heap.top();
-        heap.pop();
-        const int b = heap.top();
-        heap.pop();
-        nodes.push_back({nodes[a].weight + nodes[b].weight, static_cast<int>(nodes.size()), a, b,
-                         -1});
-        heap.push(static_cast<int>(nodes.size()) - 1);
-    }
-    // Depth-first depth assignment from the root.
-    const int root = heap.top();
-    std::vector<std::pair<int, int>> stack{{root, 0}};
-    while (!stack.empty()) {
-        const auto [n, depth] = stack.back();
-        stack.pop_back();
-        if (nodes[n].symbol >= 0) {
-            lengths[static_cast<std::size_t>(nodes[n].symbol)] =
-                static_cast<std::uint8_t>(std::max(depth, 1));
-        } else {
-            stack.emplace_back(nodes[n].left, depth + 1);
-            stack.emplace_back(nodes[n].right, depth + 1);
+    std::stable_sort(leaves.begin(), leaves.end(),
+                     [&freq](std::uint32_t a, std::uint32_t b) { return freq[a] < freq[b]; });
+
+    // Nodes [0, n) are the sorted leaves, [n, 2n - 1) the merged nodes in
+    // creation order; the root is the last.
+    std::vector<std::uint64_t> weight(2 * n - 1);
+    std::vector<std::uint32_t> parent(2 * n - 1);
+    for (std::size_t k = 0; k < n; ++k) weight[k] = freq[leaves[k]];
+    std::size_t next_leaf = 0;
+    std::size_t next_merged = n;
+    const auto take = [&](std::size_t born) {
+        if (next_leaf < n && (next_merged == born || weight[next_leaf] <= weight[next_merged])) {
+            return next_leaf++;
         }
+        return next_merged++;
+    };
+    for (std::size_t node = n; node < 2 * n - 1; ++node) {
+        const std::size_t a = take(node);
+        const std::size_t b = take(node);
+        weight[node] = weight[a] + weight[b];
+        parent[a] = parent[b] = static_cast<std::uint32_t>(node);
+    }
+    // Depths root-down: every parent was created after its children.
+    std::vector<std::uint32_t> depth(2 * n - 1, 0);
+    for (std::size_t k = 2 * n - 2; k-- > 0;) depth[k] = depth[parent[k]] + 1;
+    for (std::size_t k = 0; k < n; ++k) {
+        lengths[leaves[k]] = static_cast<std::uint8_t>(depth[k]);
     }
     return lengths;
 }
@@ -309,20 +294,34 @@ private:
     std::vector<PrimaryEntry> primary_;
 };
 
-std::vector<std::uint8_t> huffman_encode_block(std::span<const std::uint8_t> rle) {
-    std::vector<std::uint64_t> freq(kSymbols, 0);
-    for (const std::uint8_t b : rle) ++freq[b];
-    freq[kEob] = 1;
-    const std::vector<std::uint8_t> lengths = huffman_code_lengths(freq);
-    const std::vector<std::uint32_t> codes = canonical_codes(lengths);
-
-    std::vector<std::uint8_t> out(lengths.begin(), lengths.end());  // 257-byte table
-    BitWriter writer;
-    for (const std::uint8_t b : rle) writer.put(codes[b], lengths[b]);
-    writer.put(codes[kEob], lengths[kEob]);
-    const std::vector<std::uint8_t> bits = writer.finish();
-    out.insert(out.end(), bits.begin(), bits.end());
-    return out;
+/// Write the RLE symbols and the EOB as canonical codes, MSB-first, straight
+/// into `dst`, which has room for exactly ceil(total code bits / 8) bytes.
+/// Codes gather in a 64-bit accumulator and leave it 32 bits at a time: at
+/// most 31 bits wait between puts and a code is at most 32 bits long.
+void write_codes(std::span<const std::uint8_t> rle, const std::vector<std::uint8_t>& lengths,
+                 const std::vector<std::uint32_t>& codes, std::uint8_t* dst) {
+    std::uint64_t acc = 0;
+    int pending = 0;
+    const auto put = [&](std::size_t symbol) {
+        acc = (acc << lengths[symbol]) | codes[symbol];
+        pending += lengths[symbol];
+        if (pending >= 32) {
+            pending -= 32;
+            const auto word = static_cast<std::uint32_t>(acc >> pending);
+            dst[0] = static_cast<std::uint8_t>(word >> 24);
+            dst[1] = static_cast<std::uint8_t>(word >> 16);
+            dst[2] = static_cast<std::uint8_t>(word >> 8);
+            dst[3] = static_cast<std::uint8_t>(word);
+            dst += 4;
+        }
+    };
+    for (const std::uint8_t b : rle) put(b);
+    put(kEob);
+    while (pending >= 8) {
+        pending -= 8;
+        *dst++ = static_cast<std::uint8_t>(acc >> pending);
+    }
+    if (pending > 0) *dst = static_cast<std::uint8_t>(acc << (8 - pending));
 }
 
 std::vector<std::uint8_t> huffman_decode_block(std::span<const std::uint8_t> payload,
@@ -350,12 +349,14 @@ namespace {
 
 constexpr char kStreamMagic[4] = {'F', 'Z', '0', '1'};
 constexpr std::uint32_t kBlockMagic = 0xb10cb10cu;
+constexpr std::size_t kStreamHeaderBytes = 12;  ///< magic, block count, block size
+constexpr std::size_t kBlockHeaderBytes = 17;   ///< magic, sizes, CRC, method
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+    p[0] = static_cast<std::uint8_t>(v & 0xff);
+    p[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
+    p[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
+    p[3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> bytes, std::size_t off) {
@@ -364,6 +365,45 @@ std::uint32_t get_u32(std::span<const std::uint8_t> bytes, std::size_t off) {
            static_cast<std::uint32_t>(bytes[off + 1]) << 8 |
            static_cast<std::uint32_t>(bytes[off + 2]) << 16 |
            static_cast<std::uint32_t>(bytes[off + 3]) << 24;
+}
+
+/// Append one block — header and payload — to the container `out`.  The
+/// RLE pass counts the histogram, Sum(freq * length) sizes the Huffman
+/// payload, and only the method that wins is written: stored when the
+/// Huffman payload would not be smaller than the block.
+void append_block(std::span<const std::uint8_t> block, std::vector<std::uint8_t>& rle_scratch,
+                  std::vector<std::uint8_t>& out) {
+    using frost_detail::kEob;
+    using frost_detail::kSymbols;
+    std::array<std::uint64_t, kSymbols> freq{};
+    rle_scratch.resize(frost_detail::kRleMaxExpansion * block.size());
+    const std::span<const std::uint8_t> rle(
+        rle_scratch.data(),
+        frost_detail::rle_encode_counting(block, rle_scratch.data(), freq.data()));
+    freq[kEob] = 1;
+    const std::vector<std::uint8_t> lengths = frost_detail::huffman_code_lengths(freq);
+    const std::vector<std::uint32_t> codes = frost_detail::canonical_codes(lengths);
+    std::uint64_t code_bits = 0;
+    for (std::size_t s = 0; s < kSymbols; ++s) code_bits += freq[s] * lengths[s];
+    const std::size_t huffman_bytes = kSymbols + static_cast<std::size_t>((code_bits + 7) / 8);
+    const bool stored = huffman_bytes >= block.size();
+    const std::size_t payload = stored ? block.size() : huffman_bytes;
+
+    const std::size_t at = out.size();
+    out.resize(at + kBlockHeaderBytes + payload);
+    std::uint8_t* p = out.data() + at;
+    store_u32(p, kBlockMagic);
+    store_u32(p + 4, static_cast<std::uint32_t>(block.size()));
+    store_u32(p + 8, static_cast<std::uint32_t>(payload));
+    store_u32(p + 12, crc32(block));
+    p[16] = stored ? 0 : 1;
+    p += kBlockHeaderBytes;
+    if (stored) {
+        std::memcpy(p, block.data(), block.size());
+    } else {
+        std::memcpy(p, lengths.data(), kSymbols);  // the 257-byte length table
+        frost_detail::write_codes(rle, lengths, codes, p + kSymbols);
+    }
 }
 
 }  // namespace
@@ -376,43 +416,28 @@ std::size_t frost_block_count(std::size_t data_size, CompressorConfig config) {
 std::vector<std::uint8_t> frost_compress(std::span<const std::uint8_t> data,
                                          CompressorConfig config) {
     const std::size_t blocks = frost_block_count(data.size(), config);
-    std::vector<std::uint8_t> out;
-    // Byte-wise append: gcc 12's -Wstringop-overflow misfires on the
-    // char* range insert into a freshly-allocated vector.
-    for (const char c : kStreamMagic) out.push_back(static_cast<std::uint8_t>(c));
-    put_u32(out, static_cast<std::uint32_t>(blocks));
-    put_u32(out, static_cast<std::uint32_t>(config.block_size));
+    std::vector<std::uint8_t> out(kStreamHeaderBytes);
+    std::memcpy(out.data(), kStreamMagic, sizeof kStreamMagic);
+    store_u32(out.data() + 4, static_cast<std::uint32_t>(blocks));
+    store_u32(out.data() + 8, static_cast<std::uint32_t>(config.block_size));
 
+    std::vector<std::uint8_t> rle_scratch;  // reused by every block
     for (std::size_t b = 0; b < blocks; ++b) {
         const std::size_t off = b * config.block_size;
-        const std::size_t len = std::min(config.block_size, data.size() - off);
-        const auto block = data.subspan(off, len);
-
-        const std::vector<std::uint8_t> rle = frost_detail::rle_encode(block);
-        std::vector<std::uint8_t> payload = frost_detail::huffman_encode_block(rle);
-        std::uint8_t method = 1;
-        if (payload.size() >= len) {
-            payload.assign(block.begin(), block.end());
-            method = 0;
-        }
-
-        put_u32(out, kBlockMagic);
-        put_u32(out, static_cast<std::uint32_t>(len));
-        put_u32(out, static_cast<std::uint32_t>(payload.size()));
-        put_u32(out, crc32(block));
-        out.push_back(method);
-        out.insert(out.end(), payload.begin(), payload.end());
+        append_block(data.subspan(off, std::min(config.block_size, data.size() - off)),
+                     rle_scratch, out);
     }
     return out;
 }
 
 std::vector<BlockInfo> frost_block_directory(std::span<const std::uint8_t> container) {
-    if (container.size() < 12 || std::memcmp(container.data(), kStreamMagic, 4) != 0) {
+    if (container.size() < kStreamHeaderBytes ||
+        std::memcmp(container.data(), kStreamMagic, sizeof kStreamMagic) != 0) {
         throw core::CorruptData("frost: bad stream magic");
     }
     const std::uint32_t blocks = get_u32(container, 4);
     std::vector<BlockInfo> dir;
-    std::size_t off = 12;
+    std::size_t off = kStreamHeaderBytes;
     for (std::uint32_t b = 0; b < blocks; ++b) {
         if (get_u32(container, off) != kBlockMagic) {
             throw core::CorruptData("frost: bad block magic");
@@ -422,9 +447,11 @@ std::vector<BlockInfo> frost_block_directory(std::span<const std::uint8_t> conta
         info.orig_size = get_u32(container, off + 4);
         info.comp_size = get_u32(container, off + 8);
         info.crc = get_u32(container, off + 12);
-        if (off + 17 > container.size()) throw core::CorruptData("frost: truncated header");
+        if (off + kBlockHeaderBytes > container.size()) {
+            throw core::CorruptData("frost: truncated header");
+        }
         info.method = container[off + 16];
-        off += 17;
+        off += kBlockHeaderBytes;
         if (off + info.comp_size > container.size()) {
             throw core::CorruptData("frost: truncated payload");
         }
@@ -437,10 +464,10 @@ std::vector<BlockInfo> frost_block_directory(std::span<const std::uint8_t> conta
 std::vector<std::uint8_t> frost_decode_block(std::span<const std::uint8_t> container,
                                              const BlockInfo& info) {
     // A damaged header can claim more payload than the container holds.
-    if (info.offset + 17 + std::size_t{info.comp_size} > container.size()) {
+    if (info.offset + kBlockHeaderBytes + std::size_t{info.comp_size} > container.size()) {
         throw core::CorruptData("frost: block runs past the container");
     }
-    const auto payload = container.subspan(info.offset + 17, info.comp_size);
+    const auto payload = container.subspan(info.offset + kBlockHeaderBytes, info.comp_size);
     std::vector<std::uint8_t> block;
     if (info.method == 0) {
         block.assign(payload.begin(), payload.end());

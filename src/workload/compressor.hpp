@@ -17,8 +17,21 @@
 //     u32 crc32       CRC-32 of the ORIGINAL block bytes
 //     u8  method      0 = stored, 1 = RLE+Huffman
 //     comp_size bytes of payload
+//   A method-1 payload is the 257-byte code-length table (bytes, then EOB)
+//   followed by the canonical codes MSB-first, zero-padded to a byte.
+//
+// The encoder makes one pass per block: RLE into a scratch buffer reused by
+// every block, counting the symbol histogram as it goes; code lengths by the
+// two-queue Huffman merge; the payload size from Sum(freq * length), so the
+// stored/Huffman choice needs no trial encode; then the codes go straight
+// into the container through a 64-bit accumulator.  Each LoadJob builds its
+// reference container this way once, so the encoder is on the archive
+// workload's setup path.  Its output is pinned byte for byte
+// (GoldenClaims.LoadJobReferenceBytes, and test_compressor's per-symbol
+// reference encoder).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -61,22 +74,20 @@ struct BlockInfo {
 // --- internals, exposed for the unit/property tests ------------------------
 namespace frost_detail {
 
-/// Escape-coded run-length encoding (runs of >= 4 bytes).
-[[nodiscard]] std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data);
+/// RLE output bound per input byte: a lone escape byte is coded as three.
+inline constexpr std::size_t kRleMaxExpansion = 3;
+
+/// Escape-coded run-length encoding (runs of >= 4 bytes) of `data` into
+/// `out`, which has room for kRleMaxExpansion * data.size() bytes.  Every
+/// emitted byte is also counted into `freq[0..255]`: that is the histogram
+/// the Huffman stage needs, so it costs no second pass.  Returns the
+/// encoded length.
+[[nodiscard]] std::size_t rle_encode_counting(std::span<const std::uint8_t> data,
+                                              std::uint8_t* out, std::uint64_t* freq);
 [[nodiscard]] std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data);
 
-/// LSB-first bit writer/reader.
-class BitWriter {
-public:
-    void put(std::uint32_t bits, int count);
-    [[nodiscard]] std::vector<std::uint8_t> finish();
-
-private:
-    std::vector<std::uint8_t> bytes_;
-    std::uint64_t acc_ = 0;
-    int acc_bits_ = 0;
-};
-
+/// MSB-first bit reader over a Huffman payload (the encoder writes its bits
+/// straight into the container; see frost_compress).
 class BitReader {
 public:
     explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -103,8 +114,9 @@ private:
 
 /// Huffman code lengths for the given symbol frequencies (0 frequency =>
 /// length 0 / absent).  At least one symbol must have nonzero frequency.
-[[nodiscard]] std::vector<std::uint8_t> huffman_code_lengths(
-    const std::vector<std::uint64_t>& freq);
+/// Built by the two-queue merge, which yields the same tree as a min-heap
+/// keyed on (weight, creation index).
+[[nodiscard]] std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freq);
 
 /// Canonical codes from lengths (symbols with length 0 get no code).
 [[nodiscard]] std::vector<std::uint32_t> canonical_codes(

@@ -1,6 +1,10 @@
 #include "workload/corpus.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <span>
+#include <string_view>
 
 #include "core/error.hpp"
 
@@ -8,66 +12,91 @@ namespace zerodeg::workload {
 
 namespace {
 
-const char* const kDirs[] = {"arch",  "block", "crypto", "drivers", "fs",    "kernel",
-                             "lib",   "mm",    "net",    "sound",   "init",  "ipc"};
+constexpr std::string_view kDirs[] = {"arch", "block", "crypto", "drivers", "fs",   "kernel",
+                                      "lib",  "mm",    "net",    "sound",   "init", "ipc"};
 
-const char* const kTypes[] = {"int", "long", "void", "char *", "size_t", "u32", "u64",
-                              "struct page *", "struct inode *", "unsigned int"};
+constexpr std::string_view kTypes[] = {"int", "long", "void", "char *", "size_t", "u32", "u64",
+                                       "struct page *", "struct inode *", "unsigned int"};
 
-const char* const kIdents[] = {
+constexpr std::string_view kIdents[] = {
     "buf",   "len",    "ret",   "err",   "flags", "offset", "page",  "inode", "dev",
     "state", "lock",   "count", "index", "entry", "head",   "queue", "mask",  "addr",
     "size",  "status", "ctx",   "req",   "tmp",   "node",   "data",  "pos"};
 
-const char* const kCalls[] = {"kmalloc", "kfree",  "spin_lock",  "spin_unlock", "memcpy",
-                              "memset",  "printk", "list_add",   "list_del",    "wait_event",
-                              "schedule", "mutex_lock", "mutex_unlock", "atomic_inc"};
+constexpr std::string_view kCalls[] = {"kmalloc", "kfree", "spin_lock", "spin_unlock", "memcpy",
+                                       "memset", "printk", "list_add", "list_del", "wait_event",
+                                       "schedule", "mutex_lock", "mutex_unlock", "atomic_inc"};
 
-std::string pick(core::RngStream& rng, const char* const* list, std::size_t n) {
-    return list[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
+std::string_view pick(core::RngStream& rng, std::span<const std::string_view> list) {
+    return list[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(list.size()) - 1))];
 }
 
-template <std::size_t N>
-std::string pick(core::RngStream& rng, const char* const (&list)[N]) {
-    return pick(rng, list, N);
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+    (out.append(parts), ...);
 }
 
+// Draw order.  Every RNG draw is its own statement: C++ leaves unspecified
+// the order in which a call's arguments or an operator's operands are
+// evaluated, so drawing inside one expression would let the compiler choose
+// the corpus.  The order below is the one GCC used when the pinned corpus,
+// container and census digests were made — right to left within a line, so
+// a line's last pick is drawn first — and changing it changes them all.
 void emit_function(core::RngStream& rng, std::string& out, int index) {
-    char name[64];
-    std::snprintf(name, sizeof name, "%s_%s_%d", pick(rng, kIdents).c_str(),
-                  pick(rng, kCalls).c_str(), index);
-    out += "static " + pick(rng, kTypes) + " " + name + "(";
+    const std::string_view name_call = pick(rng, kCalls);
+    const std::string_view name_ident = pick(rng, kIdents);
+    const std::string_view type = pick(rng, kTypes);
+    append(out, "static ", type, " ", name_ident, "_", name_call, "_", std::to_string(index), "(");
     const int args = static_cast<int>(rng.uniform_int(0, 3));
     for (int i = 0; i < args; ++i) {
         if (i) out += ", ";
-        out += pick(rng, kTypes) + " " + pick(rng, kIdents);
+        const std::string_view arg = pick(rng, kIdents);
+        const std::string_view arg_type = pick(rng, kTypes);
+        append(out, arg_type, " ", arg);
     }
     out += ")\n{\n";
     const int stmts = static_cast<int>(rng.uniform_int(3, 18));
     for (int i = 0; i < stmts; ++i) {
         const int kind = static_cast<int>(rng.uniform_int(0, 4));
         switch (kind) {
-            case 0:
-                out += "\t" + pick(rng, kTypes) + " " + pick(rng, kIdents) + " = " +
-                       std::to_string(rng.uniform_int(0, 4096)) + ";\n";
+            case 0: {
+                const std::int64_t value = rng.uniform_int(0, 4096);
+                const std::string_view var = pick(rng, kIdents);
+                const std::string_view var_type = pick(rng, kTypes);
+                append(out, "\t", var_type, " ", var, " = ", std::to_string(value), ";\n");
                 break;
-            case 1:
-                out += "\t" + pick(rng, kIdents) + " = " + pick(rng, kCalls) + "(" +
-                       pick(rng, kIdents) + ");\n";
+            }
+            case 1: {
+                const std::string_view arg = pick(rng, kIdents);
+                const std::string_view call = pick(rng, kCalls);
+                const std::string_view var = pick(rng, kIdents);
+                append(out, "\t", var, " = ", call, "(", arg, ");\n");
                 break;
-            case 2:
-                out += "\tif (" + pick(rng, kIdents) + " < " + pick(rng, kIdents) +
-                       ")\n\t\treturn -EINVAL;\n";
+            }
+            case 2: {
+                const std::string_view rhs = pick(rng, kIdents);
+                const std::string_view lhs = pick(rng, kIdents);
+                append(out, "\tif (", lhs, " < ", rhs, ")\n\t\treturn -EINVAL;\n");
                 break;
-            case 3:
-                out += "\t/* " + pick(rng, kIdents) + " must hold " + pick(rng, kIdents) +
-                       " across this call */\n";
+            }
+            case 3: {
+                const std::string_view held = pick(rng, kIdents);
+                const std::string_view holder = pick(rng, kIdents);
+                append(out, "\t/* ", holder, " must hold ", held, " across this call */\n");
                 break;
-            default:
-                out += "\tfor (" + pick(rng, kIdents) + " = 0; " + pick(rng, kIdents) + " < " +
-                       pick(rng, kIdents) + "; ++" + pick(rng, kIdents) + ")\n\t\t" +
-                       pick(rng, kCalls) + "(" + pick(rng, kIdents) + ");\n";
+            }
+            default: {
+                const std::string_view arg = pick(rng, kIdents);
+                const std::string_view call = pick(rng, kCalls);
+                const std::string_view step = pick(rng, kIdents);
+                const std::string_view bound = pick(rng, kIdents);
+                const std::string_view test = pick(rng, kIdents);
+                const std::string_view init = pick(rng, kIdents);
+                append(out, "\tfor (", init, " = 0; ", test, " < ", bound, "; ++", step,
+                       ")\n\t\t", call, "(", arg, ");\n");
                 break;
+            }
         }
     }
     out += "\treturn 0;\n}\n\n";
@@ -80,20 +109,23 @@ SyntheticCorpus::SyntheticCorpus(CorpusConfig config, std::uint64_t seed) {
         throw core::InvalidArgument("SyntheticCorpus: sizes must be positive");
     }
     core::RngStream rng{seed, "corpus"};
-    const std::size_t dir_count =
-        std::min(config.top_level_dirs, sizeof(kDirs) / sizeof(kDirs[0]));
+    const std::span<const std::string_view> dirs =
+        std::span(kDirs).first(std::min(config.top_level_dirs, std::size(kDirs)));
 
+    std::string text;  // one file at a time, reused
     int file_index = 0;
     while (total_bytes_ < config.total_bytes) {
         CorpusFile f;
-        const std::string dir = pick(rng, kDirs, dir_count);
+        const std::string_view dir = pick(rng, dirs);
+        const std::string_view stem = pick(rng, kIdents);
         char path[128];
-        std::snprintf(path, sizeof path, "%s/%s_%04d.c", dir.c_str(),
-                      pick(rng, kIdents).c_str(), file_index++);
+        std::snprintf(path, sizeof path, "%.*s/%.*s_%04d.c", static_cast<int>(dir.size()),
+                      dir.data(), static_cast<int>(stem.size()), stem.data(), file_index++);
         f.path = path;
 
-        std::string text = "/* auto-generated corpus file: " + f.path + " */\n";
-        text += "#include <linux/kernel.h>\n#include <linux/module.h>\n\n";
+        text.clear();
+        append(text, "/* auto-generated corpus file: ", f.path, " */\n",
+               "#include <linux/kernel.h>\n#include <linux/module.h>\n\n");
         // Target size jitters around the mean by +/- 50%.
         const auto target = static_cast<std::size_t>(
             static_cast<double>(config.mean_file_bytes) * rng.uniform(0.5, 1.5));

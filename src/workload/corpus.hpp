@@ -4,6 +4,11 @@
 // ship one, so this generates a deterministic tree of C-like source files
 // with realistic statistics (token repetition, indentation, comments) —
 // compressible the way source code is — at a configurable total size.
+//
+// Every RNG draw is its own statement, in a fixed documented order (see
+// emit_function), so the corpus does not depend on the order in which a
+// compiler evaluates operands.  Lines are appended from string_view picks
+// into one reused text buffer, with no per-token string temporaries.
 #pragma once
 
 #include <cstdint>

@@ -10,28 +10,28 @@ namespace {
 
 constexpr std::uint32_t kInit[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u};
 
-// Per-round shift amounts.
-constexpr int kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// K[i] = floor(2^32 * |sin(i + 1)|.
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu, 0x4787c62au,
-    0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu, 0xffff5bb1u, 0x895cd7beu,
-    0x6b901122u, 0xfd987193u, 0xa679438eu, 0x49b40821u, 0xf61e2562u, 0xc040b340u,
-    0x265e5a51u, 0xe9b6c7aau, 0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u,
-    0x21e1cde6u, 0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
-    0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u, 0xfde5380cu,
-    0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u, 0x289b7ec6u, 0xeaa127fau,
-    0xd4ef3085u, 0x04881d05u, 0xd9d4d039u, 0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u,
-    0xf4292244u, 0x432aff97u, 0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u,
-    0xffeff47du, 0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
-    0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
-
 constexpr std::uint32_t rotl(std::uint32_t x, int c) { return (x << c) | (x >> (32 - c)); }
+
+// One step per round function: a = b + ((a + f(b, c, d) + x + k) <<< s).
+// The 64 steps are spelled out below with their RFC 1321 message index,
+// shift and sine constant k = floor(2^32 * |sin(i + 1)|), so no step picks
+// its round function or message word at run time.
+constexpr std::uint32_t ff(std::uint32_t a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
+                           std::uint32_t x, int s, std::uint32_t k) {
+    return b + rotl(a + ((b & c) | (~b & d)) + x + k, s);
+}
+constexpr std::uint32_t gg(std::uint32_t a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
+                           std::uint32_t x, int s, std::uint32_t k) {
+    return b + rotl(a + ((d & b) | (~d & c)) + x + k, s);
+}
+constexpr std::uint32_t hh(std::uint32_t a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
+                           std::uint32_t x, int s, std::uint32_t k) {
+    return b + rotl(a + (b ^ c ^ d) + x + k, s);
+}
+constexpr std::uint32_t ii(std::uint32_t a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
+                           std::uint32_t x, int s, std::uint32_t k) {
+    return b + rotl(a + (c ^ (b | ~d)) + x + k, s);
+}
 
 }  // namespace
 
@@ -53,28 +53,79 @@ void Md5::process_block(const std::uint8_t* block) {
                static_cast<std::uint32_t>(block[i * 4 + 3]) << 24;
     }
     std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    for (int i = 0; i < 64; ++i) {
-        std::uint32_t f;
-        int g;
-        if (i < 16) {
-            f = (b & c) | (~b & d);
-            g = i;
-        } else if (i < 32) {
-            f = (d & b) | (~d & c);
-            g = (5 * i + 1) % 16;
-        } else if (i < 48) {
-            f = b ^ c ^ d;
-            g = (3 * i + 5) % 16;
-        } else {
-            f = c ^ (b | ~d);
-            g = (7 * i) % 16;
-        }
-        const std::uint32_t temp = d;
-        d = c;
-        c = b;
-        b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
-        a = temp;
-    }
+
+    // Round 1: message words in order.
+    a = ff(a, b, c, d, m[0], 7, 0xd76aa478u);
+    d = ff(d, a, b, c, m[1], 12, 0xe8c7b756u);
+    c = ff(c, d, a, b, m[2], 17, 0x242070dbu);
+    b = ff(b, c, d, a, m[3], 22, 0xc1bdceeeu);
+    a = ff(a, b, c, d, m[4], 7, 0xf57c0fafu);
+    d = ff(d, a, b, c, m[5], 12, 0x4787c62au);
+    c = ff(c, d, a, b, m[6], 17, 0xa8304613u);
+    b = ff(b, c, d, a, m[7], 22, 0xfd469501u);
+    a = ff(a, b, c, d, m[8], 7, 0x698098d8u);
+    d = ff(d, a, b, c, m[9], 12, 0x8b44f7afu);
+    c = ff(c, d, a, b, m[10], 17, 0xffff5bb1u);
+    b = ff(b, c, d, a, m[11], 22, 0x895cd7beu);
+    a = ff(a, b, c, d, m[12], 7, 0x6b901122u);
+    d = ff(d, a, b, c, m[13], 12, 0xfd987193u);
+    c = ff(c, d, a, b, m[14], 17, 0xa679438eu);
+    b = ff(b, c, d, a, m[15], 22, 0x49b40821u);
+
+    // Round 2: word (5i + 1) mod 16.
+    a = gg(a, b, c, d, m[1], 5, 0xf61e2562u);
+    d = gg(d, a, b, c, m[6], 9, 0xc040b340u);
+    c = gg(c, d, a, b, m[11], 14, 0x265e5a51u);
+    b = gg(b, c, d, a, m[0], 20, 0xe9b6c7aau);
+    a = gg(a, b, c, d, m[5], 5, 0xd62f105du);
+    d = gg(d, a, b, c, m[10], 9, 0x02441453u);
+    c = gg(c, d, a, b, m[15], 14, 0xd8a1e681u);
+    b = gg(b, c, d, a, m[4], 20, 0xe7d3fbc8u);
+    a = gg(a, b, c, d, m[9], 5, 0x21e1cde6u);
+    d = gg(d, a, b, c, m[14], 9, 0xc33707d6u);
+    c = gg(c, d, a, b, m[3], 14, 0xf4d50d87u);
+    b = gg(b, c, d, a, m[8], 20, 0x455a14edu);
+    a = gg(a, b, c, d, m[13], 5, 0xa9e3e905u);
+    d = gg(d, a, b, c, m[2], 9, 0xfcefa3f8u);
+    c = gg(c, d, a, b, m[7], 14, 0x676f02d9u);
+    b = gg(b, c, d, a, m[12], 20, 0x8d2a4c8au);
+
+    // Round 3: word (3i + 5) mod 16.
+    a = hh(a, b, c, d, m[5], 4, 0xfffa3942u);
+    d = hh(d, a, b, c, m[8], 11, 0x8771f681u);
+    c = hh(c, d, a, b, m[11], 16, 0x6d9d6122u);
+    b = hh(b, c, d, a, m[14], 23, 0xfde5380cu);
+    a = hh(a, b, c, d, m[1], 4, 0xa4beea44u);
+    d = hh(d, a, b, c, m[4], 11, 0x4bdecfa9u);
+    c = hh(c, d, a, b, m[7], 16, 0xf6bb4b60u);
+    b = hh(b, c, d, a, m[10], 23, 0xbebfbc70u);
+    a = hh(a, b, c, d, m[13], 4, 0x289b7ec6u);
+    d = hh(d, a, b, c, m[0], 11, 0xeaa127fau);
+    c = hh(c, d, a, b, m[3], 16, 0xd4ef3085u);
+    b = hh(b, c, d, a, m[6], 23, 0x04881d05u);
+    a = hh(a, b, c, d, m[9], 4, 0xd9d4d039u);
+    d = hh(d, a, b, c, m[12], 11, 0xe6db99e5u);
+    c = hh(c, d, a, b, m[15], 16, 0x1fa27cf8u);
+    b = hh(b, c, d, a, m[2], 23, 0xc4ac5665u);
+
+    // Round 4: word 7i mod 16.
+    a = ii(a, b, c, d, m[0], 6, 0xf4292244u);
+    d = ii(d, a, b, c, m[7], 10, 0x432aff97u);
+    c = ii(c, d, a, b, m[14], 15, 0xab9423a7u);
+    b = ii(b, c, d, a, m[5], 21, 0xfc93a039u);
+    a = ii(a, b, c, d, m[12], 6, 0x655b59c3u);
+    d = ii(d, a, b, c, m[3], 10, 0x8f0ccc92u);
+    c = ii(c, d, a, b, m[10], 15, 0xffeff47du);
+    b = ii(b, c, d, a, m[1], 21, 0x85845dd1u);
+    a = ii(a, b, c, d, m[8], 6, 0x6fa87e4fu);
+    d = ii(d, a, b, c, m[15], 10, 0xfe2ce6e0u);
+    c = ii(c, d, a, b, m[6], 15, 0xa3014314u);
+    b = ii(b, c, d, a, m[13], 21, 0x4e0811a1u);
+    a = ii(a, b, c, d, m[4], 6, 0xf7537e82u);
+    d = ii(d, a, b, c, m[11], 10, 0xbd3af235u);
+    c = ii(c, d, a, b, m[2], 15, 0x2ad7d2bbu);
+    b = ii(b, c, d, a, m[9], 21, 0xeb86d391u);
+
     state_[0] += a;
     state_[1] += b;
     state_[2] += c;

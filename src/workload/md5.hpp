@@ -5,6 +5,11 @@
 // is the detector for the memory-corruption events of Section 4.2.2.  This
 // is the same algorithm on the same role.  (MD5 is of course not to be used
 // for security anywhere; here it is an integrity checksum, as in the paper.)
+//
+// process_block spells out the 64 steps with constant shifts and message
+// indices, so a block costs no per-step round dispatch.  It is on two hot
+// paths: every LoadJob hashes its reference container once, and every
+// wrong-hash run re-hashes from the last checkpoint before its first flip.
 #pragma once
 
 #include <array>

@@ -77,7 +77,7 @@ double SloTracker::mean_sojourn_seconds() const {
 
 double SloTracker::sojourn_percentile(double p) const {
     if (sojourns_.empty()) return 0.0;
-    return core::percentile(sojourns_, p);
+    return core::percentile_in_place(sojourns_, p);
 }
 
 std::string render_slo_csv(const SloTracker& tracker) {

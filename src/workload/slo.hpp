@@ -48,6 +48,10 @@ public:
     [[nodiscard]] double deadline_miss_fraction() const;
     [[nodiscard]] double mean_sojourn_seconds() const;
     /// Percentile over every completed request's sojourn, p in [0, 100].
+    /// Selects in place within the season's sojourns (a default traffic
+    /// season holds ~788 k) instead of copying them; that reorders them,
+    /// which no reader sees, but makes concurrent calls on one tracker a
+    /// data race.
     [[nodiscard]] double sojourn_percentile(double p) const;
     [[nodiscard]] double deadline_seconds() const { return deadline_; }
 
@@ -59,7 +63,9 @@ private:
     std::uint64_t dropped_ = 0;
     std::uint64_t deadline_misses_ = 0;
     double sojourn_sum_ = 0.0;
-    std::vector<double> sojourns_;      ///< every completion, season-wide
+    /// Every completion, season-wide, in no particular order:
+    /// sojourn_percentile reorders it.
+    mutable std::vector<double> sojourns_;
     std::vector<double> tick_sojourns_; ///< completions since the last close_tick
     std::uint64_t tick_dropped_ = 0;
     std::uint64_t tick_misses_ = 0;

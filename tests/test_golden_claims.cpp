@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "energy/pue.hpp"
@@ -15,6 +17,10 @@
 #include "experiment/prototype.hpp"
 #include "experiment/runner.hpp"
 #include "faults/memory_faults.hpp"
+#include "workload/archive.hpp"
+#include "workload/corpus.hpp"
+#include "workload/load_job.hpp"
+#include "workload/md5.hpp"
 #include "workload/slo.hpp"
 
 namespace zerodeg {
@@ -146,6 +152,29 @@ TEST(GoldenClaims, ClonedTrafficSeasonSloCsvBytes) {
     const std::string csv = default_traffic_slo_csv(true);
     EXPECT_EQ(csv.size(), 341560u);
     EXPECT_EQ(core::fnv1a(csv), 0x66131ffacfdcd933ULL);
+}
+
+// --- Section 3.5: the load cycle's reference bytes ------------------------
+
+// The default season's LoadJob reference — the tarball and its frost
+// container — pinned byte for byte at the default seed.  Every archive
+// census runs its hash checks and recovery forensics against this
+// container, so a faster corpus generator, tar writer, frost encoder or MD5
+// that changes one byte moves these values.
+TEST(GoldenClaims, LoadJobReferenceBytes) {
+    constexpr std::uint64_t kSeed = 20100219;
+    const workload::LoadJobConfig cfg;
+    const workload::SyntheticCorpus corpus(cfg.corpus, kSeed);
+    const std::vector<std::uint8_t> archive = workload::write_archive(corpus.files());
+    EXPECT_EQ(archive.size(), 2212352u);
+    EXPECT_EQ(workload::to_hex(workload::md5(archive)), "e4c262d8e9bfcafd227af6cada14803d");
+
+    const workload::LoadJob job(cfg, kSeed);
+    EXPECT_EQ(job.archive_bytes(), archive.size());
+    EXPECT_EQ(job.container_bytes(), 1445826u);
+    EXPECT_EQ(job.block_count(), 397u);
+    EXPECT_EQ(workload::to_hex(job.reference_digest()), "6fc4458a5f38fc88b4726b5f6130fc59");
+    EXPECT_EQ(workload::md5(job.reference_container()), job.reference_digest());
 }
 
 // --- Section 4.2.2: "around one in 570 million" --------------------------

@@ -15,8 +15,10 @@
 
 #include "core/rng.hpp"
 #include "core/sim_time.hpp"
+#include "core/stats.hpp"
 #include "workload/ps_queue.hpp"
 #include "workload/request_gen.hpp"
+#include "workload/slo.hpp"
 #include "workload/traffic.hpp"
 
 namespace zerodeg::workload {
@@ -428,6 +430,31 @@ TEST(ArrivalRate, DiurnalAndFlashCrowdCompose) {
     EXPECT_NEAR(arrival_rate(cfg, midnight), 0.5, 1e-9);      // outside
     const TimePoint after = noon + core::Duration::hours(1);  // half-open end
     EXPECT_LT(arrival_rate(cfg, after), 2.0);
+}
+
+// The season p99 selects in place within the tracker's sojourns.  It must
+// give the doubles core::percentile gives on a copy of the same sample, and
+// keep giving them after earlier calls have reordered the sample.
+TEST(SloTracker, SeasonPercentileInPlaceEqualsCorePercentileBitForBit) {
+    SloTracker slo(2.0);
+    EXPECT_EQ(slo.sojourn_percentile(99.0), 0.0);  // no completions yet
+    core::RngStream rng(2010, "test.slo-percentile");
+    std::vector<double> recorded;
+    for (int i = 0; i < 20'000; ++i) {
+        // Coarse values so ties are common, with a heavy tail.
+        double v = std::floor(rng.uniform(0.0, 40.0)) / 8.0;
+        if (i % 50 == 49) v *= 1e3;
+        slo.record(v);
+        recorded.push_back(v);
+        if (i % 997 == 0) slo.record_dropped();
+        if (i % 5000 == 4999) slo.close_tick(kOrigin + Duration::minutes(i / 5000), 0.5);
+    }
+    std::vector<double> ps = {99.0, 0.0, 50.0, 95.0, 100.0, 99.0, 99.9};
+    for (int k = 0; k < 20; ++k) ps.push_back(rng.uniform(0.0, 100.0));
+    for (const double p : ps) {
+        EXPECT_EQ(slo.sojourn_percentile(p), core::percentile(recorded, p)) << p;
+    }
+    EXPECT_EQ(slo.completed(), recorded.size());
 }
 
 }  // namespace
